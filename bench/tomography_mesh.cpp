@@ -240,7 +240,7 @@ int main(int argc, char** argv) {
               static_cast<std::size_t>(ctx.spec->param("hosts"));
           const auto start = Clock::now();
           const scenario::TomographyResult result = scenario::run_tomography(
-              mesh_spec(hosts, ctx.spec->param("delta_ms"), 1993));
+              mesh_spec(hosts, ctx.spec->param("delta_ms"), cli.base_seed));
           const double wall =
               std::chrono::duration<double>(Clock::now() - start).count();
           return mesh_metrics(result, wall);

@@ -26,7 +26,6 @@
 #include "obs/timeseries.h"
 #include "scenario/topology_gen.h"
 #include "sim/channel.h"
-#include "sim/fluid.h"
 #include "sim/link.h"
 #include "sim/network.h"
 #include "util/time.h"
@@ -65,34 +64,6 @@ struct CrossTraffic {
   double reverse_scale = 0.35;    // reverse-direction load multiplier
   ByteSize bulk_packet = ByteSize::bytes(512);
   ByteSize interactive_packet = ByteSize::bytes(64);
-};
-
-/// Background-traffic population for generated-topology runs
-/// (run_topology): `flows` on/off flows between seeded random host pairs.
-/// Flows whose route stays outside the packetized zone are folded into
-/// per-link FluidAggregates (zero events per flow — see MODEL_NOTES §15);
-/// flows that touch the zone become real packet sources.
-struct FluidBackgroundConfig {
-  std::size_t flows = 10000;
-  /// On/off shape of each flow: peak rate, fraction of time on, cycle.
-  /// A zero flow_peak auto-calibrates the peak so the busiest link
-  /// carries `max_link_load` of its capacity in mean background demand.
-  Bandwidth flow_peak = Bandwidth::zero();
-  double duty = 0.5;
-  Duration period = Duration::seconds(2);
-  double max_link_load = 0.5;
-  /// How fluid-served links model queueing (see sim::FluidQueueModel):
-  /// kResidualRate drains probes at the residual capacity; kMd1Wait adds
-  /// a sampled M/D/1 wait that also matches delay variance.
-  sim::FluidQueueModel queue_model = sim::FluidQueueModel::kResidualRate;
-  ByteSize mean_packet = ByteSize::bytes(512);
-  /// Optional K-state envelope modulation of each fluid link's aggregate
-  /// demand (0 = constant mean demand).  The envelope is the only event
-  /// source a fluid link has: O(1) per link, independent of flow count.
-  std::size_t envelope_states = 0;
-  Duration envelope_mean_holding = Duration::seconds(2);
-  double envelope_swing = 0.5;
-  std::uint64_t seed = 0xF10D;
 };
 
 struct ScenarioOverrides {

@@ -17,7 +17,6 @@
 #include "analysis/streaming.h"
 #include "obs/sampler.h"
 #include "obs/trace.h"
-#include "sim/fluid.h"
 #include "sim/pdes.h"
 #include "sim/simulator.h"
 #include "sim/udp_echo.h"
@@ -283,20 +282,10 @@ TomographyResult run_tomography(const TomographySpec& spec) {
   for (std::size_t i = 0; i < built.nodes.size(); ++i) {
     domain_of_node[built.nodes[i]] = built.node_domain[i];
   }
-  std::map<std::pair<sim::NodeId, sim::NodeId>, std::uint32_t> uid_of;
-  for (std::size_t i = 0; i < net.link_count(); ++i) {
-    uid_of[{net.link_source(i), net.link_target(i)}] =
-        static_cast<std::uint32_t>(i);
-  }
-  const auto route_uids = [&](sim::NodeId from, sim::NodeId to) {
-    std::vector<std::uint32_t> uids;
-    const auto hops = net.traceroute(from, to);
-    uids.reserve(hops.size() - 1);
-    for (std::size_t i = 0; i + 1 < hops.size(); ++i) {
-      uids.push_back(uid_of.at({hops[i].node, hops[i + 1].node}));
-    }
-    return uids;
+  const auto sim_of_node = [&](sim::NodeId node) -> sim::Simulator& {
+    return sim_of(domain_of_node[node]);
   };
+  const LinkRouter router(net);
 
   // --- Loss ground truth: seeded per-directed-link drop probabilities ---
   // Drawn per link uid (plan order), so the assignment is independent of
@@ -340,75 +329,10 @@ TomographyResult run_tomography(const TomographySpec& spec) {
   }
 
   // --- Optional fluid background (all flows folded; no packetized zone) -
-  sim::FlowTable table;
-  std::vector<std::unique_ptr<sim::FluidAggregate>> aggregates;
-  std::vector<std::unique_ptr<sim::FluidFlow>> envelopes;
+  FluidBackground fluid;
   if (spec.fluid_background) {
-    const FluidBackgroundConfig& bg = *spec.fluid_background;
-    SplitMix64 pair_stream(derive_stream_seed(bg.seed, 0xB6));
-    std::map<std::pair<std::size_t, std::size_t>, sim::FlowTable::RouteId>
-        route_cache;
-    std::vector<double> unit_demand(net.link_count(), 0.0);
-    std::vector<sim::FlowTable::RouteId> flow_route(bg.flows);
-    for (std::size_t f = 0; f < bg.flows; ++f) {
-      const std::size_t si = pair_stream.next() % topo.hosts.size();
-      std::size_t di = pair_stream.next() % topo.hosts.size();
-      while (di == si) di = pair_stream.next() % topo.hosts.size();
-      auto [it, inserted] = route_cache.try_emplace({si, di});
-      if (inserted) {
-        it->second = table.intern_route(route_uids(
-            built.nodes[topo.hosts[si]], built.nodes[topo.hosts[di]]));
-      }
-      flow_route[f] = it->second;
-      for (std::size_t h = 0; h < table.route_length(it->second); ++h) {
-        unit_demand[table.route_link(it->second, h)] += bg.duty;
-      }
-    }
-    double peak = bg.flow_peak.bps();
-    if (peak <= 0.0) {
-      double worst = 0.0;
-      for (std::size_t i = 0; i < net.link_count(); ++i) {
-        if (unit_demand[i] > 0.0) {
-          worst = std::max(
-              worst, unit_demand[i] / net.link_at(i).config().rate.bps());
-        }
-      }
-      peak = worst > 0.0 ? bg.max_link_load / worst : 0.0;
-    }
-    for (std::size_t f = 0; f < bg.flows; ++f) {
-      const Duration phase = Duration::nanos(static_cast<std::int64_t>(
-          (static_cast<double>(f) / static_cast<double>(bg.flows)) *
-          static_cast<double>(bg.period.count_nanos())));
-      table.add_flow(f, flow_route[f], Bandwidth::bps(peak),
-                     static_cast<float>(bg.duty), bg.period, phase);
-    }
-    aggregates.resize(net.link_count());
-    const bool modulated = bg.envelope_states >= 2;
-    for (std::size_t i = 0; i < net.link_count(); ++i) {
-      const Bandwidth demand =
-          table.link_demand(static_cast<std::uint32_t>(i));
-      if (!demand.is_positive()) continue;
-      sim::Link& link = net.link_at(i);
-      sim::Simulator& link_sim = sim_of(domain_of_node[net.link_source(i)]);
-      sim::FluidAggregateConfig config;
-      config.capacity = link.config().rate;
-      config.queue_model = bg.queue_model;
-      config.mean_packet = bg.mean_packet;
-      aggregates[i] = std::make_unique<sim::FluidAggregate>(
-          link_sim, config, Rng(derive_stream_seed(bg.seed ^ 0xF1u, i)));
-      link.attach_fluid(*aggregates[i]);
-      if (modulated) {
-        envelopes.push_back(std::make_unique<sim::FluidFlow>(
-            link_sim,
-            sim::FluidFlowConfig::envelope(demand, bg.envelope_states,
-                                           bg.envelope_swing,
-                                           bg.envelope_mean_holding),
-            Rng(derive_stream_seed(bg.seed ^ 0xE2u, i))));
-        envelopes.back()->attach(*aggregates[i]);
-      } else {
-        aggregates[i]->add_base_rate(demand);
-      }
-    }
+    fluid = book_fluid_background(*spec.fluid_background, topo, built, net,
+                                  router, /*in_zone=*/{}, sim_of_node);
   }
 
   // --- Streams: every ordered host pair, round-trip probed --------------
@@ -422,8 +346,8 @@ TomographyResult run_tomography(const TomographySpec& spec) {
       if (i == j) continue;
       const sim::NodeId src = built.nodes[topo.hosts[i]];
       const sim::NodeId dst = built.nodes[topo.hosts[j]];
-      std::vector<std::uint32_t> round_trip = route_uids(src, dst);
-      const std::vector<std::uint32_t> back = route_uids(dst, src);
+      std::vector<std::uint32_t> round_trip = router.route(src, dst);
+      const std::vector<std::uint32_t> back = router.route(dst, src);
       round_trip.insert(round_trip.end(), back.begin(), back.end());
       double mu = net.link_at(round_trip.front()).config().rate.bps();
       for (const std::uint32_t uid : round_trip) {
@@ -465,8 +389,8 @@ TomographyResult run_tomography(const TomographySpec& spec) {
   for (const std::uint32_t h : topo.hosts) {
     const sim::NodeId node = built.nodes[h];
     hosts.push_back(std::make_unique<MeshProbeHost>(
-        sim_of(domain_of_node[node]), net, node, mesh, spec.delta,
-        spec.probe_wire, spec.pair_stride));
+        sim_of_node(node), net, node, mesh, spec.delta, spec.probe_wire,
+        spec.pair_stride));
     host_of[node] = hosts.back().get();
   }
 
@@ -510,7 +434,7 @@ TomographyResult run_tomography(const TomographySpec& spec) {
   if (psim) {
     psim->attach(net, built.node_domain);
   }
-  for (auto& envelope : envelopes) envelope->start(Duration::zero());
+  for (auto& envelope : fluid.envelopes) envelope->start(Duration::zero());
   // Staggered starts spread the mesh's send instants across one delta so
   // streams do not fire in lockstep.
   for (std::size_t s = 0; s < stream_count; ++s) {

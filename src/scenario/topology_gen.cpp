@@ -1,6 +1,7 @@
 #include "scenario/topology_gen.h"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -266,6 +267,146 @@ BuiltTopology instantiate_topology(
                         sim_of(built.node_domain[edge.b]));
   }
   return built;
+}
+
+LinkRouter::LinkRouter(const sim::Network& net) : net_(net) {
+  for (std::size_t i = 0; i < net.link_count(); ++i) {
+    uid_of_[{net.link_source(i), net.link_target(i)}] =
+        static_cast<std::uint32_t>(i);
+  }
+}
+
+std::vector<std::uint32_t> LinkRouter::route(sim::NodeId from,
+                                             sim::NodeId to) const {
+  std::vector<std::uint32_t> uids;
+  const auto hops = net_.traceroute(from, to);
+  uids.reserve(hops.size() - 1);
+  for (std::size_t i = 0; i + 1 < hops.size(); ++i) {
+    uids.push_back(uid_of_.at({hops[i].node, hops[i + 1].node}));
+  }
+  return uids;
+}
+
+FluidBackground book_fluid_background(
+    const FluidBackgroundConfig& config, const TopologyPlan& topo,
+    const BuiltTopology& built, sim::Network& net, const LinkRouter& router,
+    const std::vector<bool>& in_zone,
+    const std::function<sim::Simulator&(sim::NodeId)>& sim_of_node) {
+  FluidBackground out;
+
+  // Pass 1: draw the population's host pairs from a seeded stream and
+  // accumulate per-link duty-weighted traversal counts (for the peak
+  // calibration).  Each distinct pair is routed, zone-checked and, when
+  // fluid, interned once; a dense hosts x hosts slot index finds it again.
+  struct PairRoute {
+    sim::NodeId src = 0, dst = 0;
+    std::vector<std::uint32_t> uids;
+    bool packetized = false;
+    sim::FlowTable::RouteId route = 0;
+  };
+  constexpr std::uint32_t kUnseen = std::numeric_limits<std::uint32_t>::max();
+  const std::size_t host_count = topo.hosts.size();
+  std::vector<std::uint32_t> pair_slot;
+  if (config.flows > 0) pair_slot.assign(host_count * host_count, kUnseen);
+  std::vector<PairRoute> pairs;
+  std::vector<std::uint32_t> flow_pair;
+  flow_pair.reserve(config.flows);
+  std::size_t fluid_flows = 0;
+  std::vector<double> unit_demand(net.link_count(), 0.0);  // all flows
+  SplitMix64 pair_stream(derive_stream_seed(config.seed, 0xB6));
+  for (std::size_t f = 0; f < config.flows; ++f) {
+    const std::size_t si = pair_stream.next() % host_count;
+    std::size_t di = pair_stream.next() % host_count;
+    while (di == si) di = pair_stream.next() % host_count;
+    std::uint32_t& slot = pair_slot[si * host_count + di];
+    if (slot == kUnseen) {
+      slot = static_cast<std::uint32_t>(pairs.size());
+      PairRoute& pair = pairs.emplace_back();
+      pair.src = built.nodes[topo.hosts[si]];
+      pair.dst = built.nodes[topo.hosts[di]];
+      pair.uids = router.route(pair.src, pair.dst);
+      pair.packetized =
+          !in_zone.empty() &&
+          std::any_of(pair.uids.begin(), pair.uids.end(),
+                      [&](std::uint32_t uid) { return in_zone[uid]; });
+      if (!pair.packetized) pair.route = out.table.intern_route(pair.uids);
+    }
+    flow_pair.push_back(slot);
+    const PairRoute& pair = pairs[slot];
+    if (!pair.packetized) ++fluid_flows;
+    for (const std::uint32_t uid : pair.uids) {
+      unit_demand[uid] += config.duty;
+    }
+  }
+
+  // Peak calibration: unit peaks would load link `uid` at
+  // unit_demand[uid] / capacity; scale so the busiest link carries
+  // max_link_load.  All background flows count — fluid and packetized
+  // alike load the fabric.
+  double peak = config.flow_peak.bps();
+  if (peak <= 0.0) {
+    double worst = 0.0;
+    for (std::size_t i = 0; i < net.link_count(); ++i) {
+      if (unit_demand[i] > 0.0) {
+        worst = std::max(worst,
+                         unit_demand[i] / net.link_at(i).config().rate.bps());
+      }
+    }
+    peak = worst > 0.0 ? config.max_link_load / worst : 0.0;
+  }
+  out.peak = Bandwidth::bps(peak);
+
+  // Pass 2: book fluid flows (zero events each) and hand packetized ones
+  // back; phases spread evenly so FlowTable::rate_at queries desynchronize.
+  out.table.reserve(fluid_flows);
+  out.packet_flows.reserve(config.flows - fluid_flows);
+  for (std::size_t f = 0; f < config.flows; ++f) {
+    const PairRoute& pair = pairs[flow_pair[f]];
+    if (pair.packetized) {
+      out.packet_flows.emplace_back(pair.src, pair.dst);
+      continue;
+    }
+    const Duration phase = Duration::nanos(static_cast<std::int64_t>(
+        (static_cast<double>(f) / static_cast<double>(config.flows)) *
+        static_cast<double>(config.period.count_nanos())));
+    out.table.add_flow(f, pair.route, out.peak,
+                       static_cast<float>(config.duty), config.period, phase);
+  }
+
+  // Per-link fluid demand (mean rates of the folded flows) -> aggregates,
+  // each homed in its link's domain and seeded by link uid.  With
+  // envelope modulation the mean demand arrives as a K-state FluidFlow
+  // (stationary mean == demand) instead of a constant base rate — the
+  // only event source a fluid link has, O(1) per link.
+  out.demand = out.table.link_demands(net.link_count());
+  out.aggregates.resize(net.link_count());
+  const bool modulated = config.envelope_states >= 2;
+  for (std::size_t i = 0; i < net.link_count(); ++i) {
+    const Bandwidth demand = Bandwidth::bps(out.demand[i]);
+    if (!demand.is_positive()) continue;
+    sim::Link& link = net.link_at(i);
+    sim::Simulator& link_sim = sim_of_node(net.link_source(i));
+    sim::FluidAggregateConfig aggregate_config;
+    aggregate_config.capacity = link.config().rate;
+    aggregate_config.queue_model = config.queue_model;
+    aggregate_config.mean_packet = config.mean_packet;
+    out.aggregates[i] = std::make_unique<sim::FluidAggregate>(
+        link_sim, aggregate_config,
+        Rng(derive_stream_seed(config.seed ^ 0xF1u, i)));
+    link.attach_fluid(*out.aggregates[i]);
+    if (modulated) {
+      out.envelopes.push_back(std::make_unique<sim::FluidFlow>(
+          link_sim,
+          sim::FluidFlowConfig::envelope(demand, config.envelope_states,
+                                         config.envelope_swing,
+                                         config.envelope_mean_holding),
+          Rng(derive_stream_seed(config.seed ^ 0xE2u, i))));
+      out.envelopes.back()->attach(*out.aggregates[i]);
+    } else {
+      out.aggregates[i]->add_base_rate(demand);
+    }
+  }
+  return out;
 }
 
 }  // namespace bolot::scenario

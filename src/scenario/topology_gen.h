@@ -17,13 +17,22 @@
 // delays carry seeded jitter), so the same spec generates byte-identical
 // plans on every run and across PDES domain counts; the audit fuzzer
 // asserts digest equality of whole runs over these topologies.
+//
+// book_fluid_background loads a built fabric with a seeded background
+// flow population (MODEL_NOTES §15) — the one set-up path run_topology
+// and run_tomography share.  Cost: O(flows x route length + host pairs x
+// traceroute); each host pair is routed and interned once.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <map>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "sim/fluid.h"
 #include "sim/network.h"
 #include "util/time.h"
 #include "util/units.h"
@@ -104,5 +113,72 @@ struct BuiltTopology {
 BuiltTopology instantiate_topology(
     const TopologyPlan& plan, sim::Network& net, std::size_t domains,
     const std::function<sim::Simulator&(std::size_t)>& sim_of);
+
+/// Background-traffic population for generated-topology runs
+/// (run_topology, run_tomography): `flows` on/off flows between seeded
+/// random host pairs.  Flows whose route stays outside the packetized
+/// zone are folded into per-link FluidAggregates (zero events per flow —
+/// see MODEL_NOTES §15); flows that touch the zone become real packet
+/// sources.
+struct FluidBackgroundConfig {
+  std::size_t flows = 10000;
+  /// On/off shape of each flow: peak rate, fraction of time on, cycle.
+  /// A zero flow_peak auto-calibrates the peak so the busiest link
+  /// carries `max_link_load` of its capacity in mean background demand.
+  Bandwidth flow_peak = Bandwidth::zero();
+  double duty = 0.5;
+  Duration period = Duration::seconds(2);
+  double max_link_load = 0.5;
+  /// How fluid-served links model queueing (see sim::FluidQueueModel):
+  /// kResidualRate drains probes at the residual capacity; kMd1Wait adds
+  /// a sampled M/D/1 wait that also matches delay variance.
+  sim::FluidQueueModel queue_model = sim::FluidQueueModel::kResidualRate;
+  ByteSize mean_packet = ByteSize::bytes(512);
+  /// Optional K-state envelope modulation of each fluid link's aggregate
+  /// demand (0 = constant mean demand).  The envelope is the only event
+  /// source a fluid link has: O(1) per link, independent of flow count.
+  std::size_t envelope_states = 0;
+  Duration envelope_mean_holding = Duration::seconds(2);
+  double envelope_swing = 0.5;
+  std::uint64_t seed = 0xF10D;
+};
+
+/// Routed paths of a built network as directed link uids (Network link
+/// indices), the form FlowTable routes and probe round trips take.
+class LinkRouter {
+ public:
+  explicit LinkRouter(const sim::Network& net);
+  std::vector<std::uint32_t> route(sim::NodeId from, sim::NodeId to) const;
+
+ private:
+  const sim::Network& net_;
+  std::map<std::pair<sim::NodeId, sim::NodeId>, std::uint32_t> uid_of_;
+};
+
+struct FluidBackground {
+  sim::FlowTable table;  // the folded (fluid) flows
+  /// Mean fluid demand per link uid, bps (FlowTable::link_demands).
+  std::vector<double> demand;
+  /// Calibrated per-flow peak rate (zero when nothing loads the fabric).
+  Bandwidth peak = Bandwidth::zero();
+  /// Flows whose route touches the packetized zone, as (src, dst) hosts in
+  /// flow order; the caller runs them as packet sources.
+  std::vector<std::pair<sim::NodeId, sim::NodeId>> packet_flows;
+  std::vector<std::unique_ptr<sim::FluidAggregate>> aggregates;  // by uid
+  /// Envelope processes to start once the kernel is attached.
+  std::vector<std::unique_ptr<sim::FluidFlow>> envelopes;
+};
+
+/// Books `config`'s flow population onto a built fabric.  `in_zone[uid]`
+/// marks the packetized zone (empty = no zone: every flow is fluid);
+/// `sim_of_node` gives the simulator of a node's PDES domain, where each
+/// link's aggregate is homed (by its source node).  Aggregates and
+/// envelopes are seeded by link uid, so the set-up does not depend on the
+/// domain count.
+FluidBackground book_fluid_background(
+    const FluidBackgroundConfig& config, const TopologyPlan& topo,
+    const BuiltTopology& built, sim::Network& net, const LinkRouter& router,
+    const std::vector<bool>& in_zone,
+    const std::function<sim::Simulator&(sim::NodeId)>& sim_of_node);
 
 }  // namespace bolot::scenario

@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
 #include <memory>
 #include <queue>
 #include <stdexcept>
@@ -17,7 +16,6 @@
 
 #include "obs/sampler.h"
 #include "obs/trace.h"
-#include "sim/fluid.h"
 #include "sim/pdes.h"
 #include "sim/simulator.h"
 #include "sim/traffic.h"
@@ -120,28 +118,18 @@ ScenarioResult run_topology(const ProbePlan& plan,
   for (std::size_t i = 0; i < built.nodes.size(); ++i) {
     domain_of_node[built.nodes[i]] = built.node_domain[i];
   }
-  // Directed (from, to) -> link uid, for turning traceroutes into routes.
-  std::map<std::pair<sim::NodeId, sim::NodeId>, std::uint32_t> uid_of;
-  for (std::size_t i = 0; i < net.link_count(); ++i) {
-    uid_of[{net.link_source(i), net.link_target(i)}] =
-        static_cast<std::uint32_t>(i);
-  }
-  const auto route_uids = [&](sim::NodeId from, sim::NodeId to) {
-    std::vector<std::uint32_t> uids;
-    const auto hops = net.traceroute(from, to);
-    uids.reserve(hops.size() - 1);
-    for (std::size_t i = 0; i + 1 < hops.size(); ++i) {
-      uids.push_back(uid_of.at({hops[i].node, hops[i + 1].node}));
-    }
-    return uids;
+  const auto sim_of_node = [&](sim::NodeId node) -> sim::Simulator& {
+    return sim_of(domain_of_node[node]);
   };
+  const LinkRouter router(net);
 
   // The probe travels between the first and last generated hosts, which
   // the generators place in different partitions (pod 0 vs the last pod /
   // AS), so the probe crosses the fabric core.
   const sim::NodeId probe_src = built.nodes[topo.hosts.front()];
   const sim::NodeId probe_dst = built.nodes[topo.hosts.back()];
-  const std::vector<std::uint32_t> probe_fwd = route_uids(probe_src, probe_dst);
+  const std::vector<std::uint32_t> probe_fwd =
+      router.route(probe_src, probe_dst);
 
   // Packetized zone: links all of whose endpoints are within
   // packetize_radius hops of a probe-path node.  radius 0 = the probed
@@ -160,113 +148,8 @@ ScenarioResult run_topology(const ProbePlan& plan,
   }
 
   // --- Background flow population -------------------------------------
-  // Host pairs are drawn from a seeded stream; each (src, dst) pair's
-  // route and zone verdict is computed once and cached.  Pass 1 draws the
-  // population and accumulates per-link duty-weighted traversal counts
-  // (for peak calibration); pass 2 books fluid flows into the FlowTable.
-  struct PairRoute {
-    std::vector<std::uint32_t> uids;
-    bool packetized = false;
-  };
-  std::map<std::pair<std::size_t, std::size_t>, PairRoute> pair_cache;
-  SplitMix64 pair_stream(derive_stream_seed(background.seed, 0xB6));
-  std::vector<const PairRoute*> flow_pair(background.flows, nullptr);
-  std::vector<std::pair<sim::NodeId, sim::NodeId>> flow_ends(background.flows);
-  std::vector<double> unit_demand(net.link_count(), 0.0);  // all flows
-  for (std::size_t f = 0; f < background.flows; ++f) {
-    const std::size_t si = pair_stream.next() % topo.hosts.size();
-    std::size_t di = pair_stream.next() % topo.hosts.size();
-    while (di == si) di = pair_stream.next() % topo.hosts.size();
-    const sim::NodeId src = built.nodes[topo.hosts[si]];
-    const sim::NodeId dst = built.nodes[topo.hosts[di]];
-    auto [it, inserted] = pair_cache.try_emplace({si, di});
-    if (inserted) {
-      it->second.uids = route_uids(src, dst);
-      for (const std::uint32_t uid : it->second.uids) {
-        if (in_zone[uid]) {
-          it->second.packetized = true;
-          break;
-        }
-      }
-    }
-    flow_pair[f] = &it->second;
-    flow_ends[f] = {src, dst};
-    for (const std::uint32_t uid : it->second.uids) {
-      unit_demand[uid] += background.duty;
-    }
-  }
-
-  // Peak calibration: unit peaks would load link `uid` at
-  // unit_demand[uid] / capacity; scale so the busiest link carries
-  // max_link_load.  All background flows count — fluid and packetized
-  // alike load the fabric.
-  double peak = background.flow_peak.bps();
-  if (peak <= 0.0) {
-    double worst = 0.0;
-    for (std::size_t i = 0; i < net.link_count(); ++i) {
-      if (unit_demand[i] > 0.0) {
-        worst = std::max(worst,
-                         unit_demand[i] / net.link_at(i).config().rate.bps());
-      }
-    }
-    peak = worst > 0.0 ? background.max_link_load / worst : 0.0;
-  }
-
-  // Pass 2: book fluid flows (zero events each) and remember packetized
-  // ones; phases spread evenly so FlowTable::rate_at queries desynchronize.
-  sim::FlowTable table;
-  std::vector<std::size_t> packet_flows;
-  for (std::size_t f = 0; f < background.flows; ++f) {
-    if (flow_pair[f]->packetized) {
-      packet_flows.push_back(f);
-      continue;
-    }
-    const sim::FlowTable::RouteId route = table.intern_route(flow_pair[f]->uids);
-    const Duration phase = Duration::nanos(static_cast<std::int64_t>(
-        (static_cast<double>(f) / static_cast<double>(background.flows)) *
-        static_cast<double>(background.period.count_nanos())));
-    table.add_flow(f, route, Bandwidth::bps(peak),
-                   static_cast<float>(background.duty), background.period,
-                   phase);
-  }
-
-  // Per-link fluid demand (mean rates of the folded flows) -> aggregates,
-  // each homed in its link's domain and seeded by link uid so the setup is
-  // independent of the domain count.  With envelope modulation the mean
-  // demand arrives as a K-state FluidFlow (stationary mean == demand)
-  // instead of a constant base rate — the only event source a fluid link
-  // has, O(1) per link.
-  std::vector<std::unique_ptr<sim::FluidAggregate>> aggregates(
-      net.link_count());
-  std::vector<std::unique_ptr<sim::FluidFlow>> envelopes;
-  std::vector<sim::FluidAggregate*> by_link(net.link_count(), nullptr);
-  const bool modulated = background.envelope_states >= 2;
-  for (std::size_t i = 0; i < net.link_count(); ++i) {
-    const Bandwidth demand = table.link_demand(static_cast<std::uint32_t>(i));
-    if (!demand.is_positive()) continue;
-    sim::Link& link = net.link_at(i);
-    sim::Simulator& link_sim = sim_of(domain_of_node[net.link_source(i)]);
-    sim::FluidAggregateConfig config;
-    config.capacity = link.config().rate;
-    config.queue_model = background.queue_model;
-    config.mean_packet = background.mean_packet;
-    aggregates[i] = std::make_unique<sim::FluidAggregate>(
-        link_sim, config,
-        Rng(derive_stream_seed(background.seed ^ 0xF1u, i)));
-    link.attach_fluid(*aggregates[i]);
-    by_link[i] = aggregates[i].get();
-    if (modulated) {
-      envelopes.push_back(std::make_unique<sim::FluidFlow>(
-          link_sim,
-          sim::FluidFlowConfig::envelope(demand, background.envelope_states,
-                                         background.envelope_swing,
-                                         background.envelope_mean_holding),
-          Rng(derive_stream_seed(background.seed ^ 0xE2u, i))));
-      envelopes.back()->attach(*aggregates[i]);
-    } else {
-      aggregates[i]->add_base_rate(demand);
-    }
-  }
+  FluidBackground fluid = book_fluid_background(
+      background, topo, built, net, router, in_zone, sim_of_node);
 
   // Packetized background: flows touching the zone run packet-by-packet
   // as Poisson sources at their mean rate (peak * duty), so the zone sees
@@ -275,23 +158,22 @@ ScenarioResult run_topology(const ProbePlan& plan,
   Rng packet_rng(derive_stream_seed(background.seed, 0xBEEF));
   std::vector<std::unique_ptr<sim::TrafficSource>> sources;
   std::uint32_t next_flow = 1;
-  const double mean_flow_bps = peak * background.duty;
-  if (!packet_flows.empty() && mean_flow_bps > 0.0) {
+  const double mean_flow_bps = fluid.peak.bps() * background.duty;
+  if (!fluid.packet_flows.empty() && mean_flow_bps > 0.0) {
     const double packet_bits =
         static_cast<double>(background.mean_packet.bit_count());
     const Duration mean_interarrival =
         Duration::seconds(packet_bits / mean_flow_bps);
-    for (const std::size_t f : packet_flows) {
+    for (const auto& [src, dst] : fluid.packet_flows) {
       sources.push_back(std::make_unique<sim::PoissonSource>(
-          sim_of(domain_of_node[flow_ends[f].first]), net, flow_ends[f].first,
-          flow_ends[f].second, next_flow++, sim::PacketKind::kBulk,
-          packet_rng.split(), mean_interarrival,
+          sim_of_node(src), net, src, dst, next_flow++,
+          sim::PacketKind::kBulk, packet_rng.split(), mean_interarrival,
           background.mean_packet));
     }
   }
 
   // NetDyn endpoints.
-  sim::EchoHost echo(sim_of(domain_of_node[probe_dst]), net, probe_dst);
+  sim::EchoHost echo(sim_of_node(probe_dst), net, probe_dst);
   sim::ProbeSourceConfig probe_config;
   probe_config.delta = plan.delta;
   probe_config.probe_wire = plan.probe_wire;
@@ -299,8 +181,8 @@ ScenarioResult run_topology(const ProbePlan& plan,
   if (overrides.clock_tick && *overrides.clock_tick > Duration::zero()) {
     probe_config.clock_tick = *overrides.clock_tick;
   }
-  sim::UdpEchoSource probe_source(sim_of(domain_of_node[probe_src]), net,
-                                  probe_src, probe_dst, probe_config);
+  sim::UdpEchoSource probe_source(sim_of_node(probe_src), net, probe_src,
+                                  probe_dst, probe_config);
 
   // The probe path's slowest forward link plays the bottleneck role in
   // the result (generated fabrics have no designated bottleneck hop).
@@ -337,7 +219,7 @@ ScenarioResult run_topology(const ProbePlan& plan,
   if (psim) {
     psim->attach(net, built.node_domain);
   }
-  for (auto& envelope : envelopes) envelope->start(Duration::zero());
+  for (auto& envelope : fluid.envelopes) envelope->start(Duration::zero());
   for (auto& source : sources) {
     source->start(Duration::millis(packet_rng.uniform(0.0, 100.0)));
   }
@@ -369,18 +251,18 @@ ScenarioResult run_topology(const ProbePlan& plan,
     result.metrics = registry.snapshot(sim_of(0).now());
     result.series = sampler->snapshot();
   }
-  result.background_flows_fluid = table.size();
-  result.background_flows_packetized = packet_flows.size();
+  result.background_flows_fluid = fluid.table.size();
+  result.background_flows_packetized = fluid.packet_flows.size();
   std::vector<std::uint32_t> round_trip = probe_fwd;
   const std::vector<std::uint32_t> echo_path =
-      route_uids(probe_dst, probe_src);
+      router.route(probe_dst, probe_src);
   round_trip.insert(round_trip.end(), echo_path.begin(), echo_path.end());
   result.probe_hops.reserve(round_trip.size());
   for (const std::uint32_t uid : round_trip) {
     ScenarioResult::ProbeHop hop;
     hop.capacity = net.link_at(uid).config().rate;
     hop.propagation = net.link_at(uid).config().propagation;
-    hop.fluid = table.link_demand(uid);
+    hop.fluid = Bandwidth::bps(fluid.demand[uid]);
     result.probe_hops.push_back(hop);
   }
   return result;

@@ -361,37 +361,41 @@ std::uint32_t FlowTable::route_link(RouteId r, std::size_t i) const {
   return route_links_[route_offset_[r] + i];
 }
 
-void FlowTable::register_mean_rates(
-    const std::vector<FluidAggregate*>& by_link_uid, double scale) const {
-  for (std::size_t f = 0; f < size(); ++f) {
-    const double rate = mean_rate(static_cast<FlowId>(f)).bps() * scale;
-    if (rate <= 0.0) continue;
-    const RouteId r = route_[f];
-    const std::uint32_t offset = route_offset_[r];
-    const std::uint16_t len = route_len_[r];
-    for (std::uint16_t i = 0; i < len; ++i) {
-      const std::uint32_t uid = route_links_[offset + i];
-      if (uid < by_link_uid.size() && by_link_uid[uid] != nullptr) {
-        by_link_uid[uid]->add_base_rate(Bandwidth::bps(rate));
-      }
-    }
-  }
+void FlowTable::reserve(std::size_t flows) {
+  external_id_.reserve(flows);
+  peak_rate_bps_.reserve(flows);
+  duty_.reserve(flows);
+  period_ns_.reserve(flows);
+  phase_ns_.reserve(flows);
+  route_.reserve(flows);
 }
 
-Bandwidth FlowTable::link_demand(std::uint32_t uid) const {
-  double demand = 0.0;
+std::vector<double> FlowTable::link_demands(std::size_t link_count) const {
+  std::vector<double> demand(link_count, 0.0);
   for (std::size_t f = 0; f < size(); ++f) {
-    const RouteId r = route_[f];
-    const std::uint32_t offset = route_offset_[r];
-    const std::uint16_t len = route_len_[r];
+    const double rate = static_cast<double>(peak_rate_bps_[f]) *
+                        static_cast<double>(duty_[f]);
+    const std::uint32_t* links = route_links_.data() + route_offset_[route_[f]];
+    const std::uint16_t len = route_len_[route_[f]];
     for (std::uint16_t i = 0; i < len; ++i) {
-      if (route_links_[offset + i] == uid) {
-        demand += mean_rate(static_cast<FlowId>(f)).bps();
-        break;
+      const std::uint32_t uid = links[i];
+      if (uid < link_count && std::find(links, links + i, uid) == links + i) {
+        demand[uid] += rate;
       }
     }
   }
-  return Bandwidth::bps(demand);
+  return demand;
+}
+
+void FlowTable::register_mean_rates(
+    const std::vector<FluidAggregate*>& by_link_uid, double scale) const {
+  const std::vector<double> demand = link_demands(by_link_uid.size());
+  for (std::size_t uid = 0; uid < demand.size(); ++uid) {
+    const double rate = demand[uid] * scale;
+    if (by_link_uid[uid] != nullptr && rate > 0.0) {
+      by_link_uid[uid]->add_base_rate(Bandwidth::bps(rate));
+    }
+  }
 }
 
 void FlowTable::audit_verify() const {

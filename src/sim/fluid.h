@@ -210,6 +210,9 @@ class FlowTable {
                   Bandwidth peak_rate, float duty,
                   Duration period = Duration::zero(),
                   Duration phase = Duration::zero());
+  /// Reserves column storage for `flows` flows (set-up knows the count
+  /// before it adds them).
+  void reserve(std::size_t flows);
 
   std::size_t size() const { return peak_rate_bps_.size(); }
   std::size_t route_count() const { return route_offset_.size(); }
@@ -235,14 +238,16 @@ class FlowTable {
   std::size_t route_length(RouteId r) const;
   std::uint32_t route_link(RouteId r, std::size_t i) const;
 
-  /// Folds every flow to its mean rate and adds it to the aggregate of
-  /// each link on its route: by_link_uid[uid] may be nullptr (packetized
-  /// or unloaded link — the flow's demand there is simply not modeled as
-  /// fluid).  `scale` multiplies every rate (load calibration).
+  /// Mean demand per link, in bps: demand[uid] sums mean_rate(f) over the
+  /// flows whose route contains `uid` (once per route, however often the
+  /// route repeats it), added in flow order.  One pass over every flow's
+  /// route, O(flows x route length); uids >= link_count are skipped.
+  std::vector<double> link_demands(std::size_t link_count) const;
+  /// Adds link_demands() x `scale` to the aggregate of each loaded link:
+  /// by_link_uid[uid] may be nullptr (packetized or unloaded link — the
+  /// demand there is simply not modeled as fluid).
   void register_mean_rates(const std::vector<FluidAggregate*>& by_link_uid,
                            double scale = 1.0) const;
-  /// Sum of mean rates over flows whose route contains link `uid`.
-  Bandwidth link_demand(std::uint32_t uid) const;
 
   /// Bytes of SoA storage per flow, the contract that makes 10^6 flows a
   /// ~40 MB statement (routes are shared, so the arena amortizes out).

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "scenario/scenarios.h"
+#include "scenario/tomography.h"
 #include "sim/network.h"
 #include "sim/pdes.h"
 #include "sim/simulator.h"
@@ -170,6 +171,57 @@ TEST(RunTopologyTest, PacketizeRadiusSplitsThePopulation) {
   // A fully fluid run dispatches far fewer events than a fully packetized
   // one carrying the identical population — the engine's reason to exist.
   EXPECT_LT(all_fluid.events, all_packets.events / 2);
+}
+
+TEST(FluidSetupPinTest, TopologyRunKeepsItsExactOutputs) {
+  // Exact outputs of the fluid background set-up, pinned so that any
+  // rework of how flows are booked (routing, interning, the demand fold)
+  // has to leave them bit-identical.  Radius 1 exercises both halves of
+  // the hybrid split; its zone covers the probed path, so the probe hops
+  // carry no fluid, and the zone-free run pins the folded demand there.
+  const ScenarioResult zoned = run_small_fabric(1, 1);
+  EXPECT_EQ(zoned.events, 1459403u);
+  EXPECT_EQ(zoned.hop_deliveries, 671704u);
+  EXPECT_EQ(zoned.background_flows_fluid, 51u);
+  EXPECT_EQ(zoned.background_flows_packetized, 449u);
+  ASSERT_EQ(zoned.probe_hops.size(), 12u);
+  for (const ScenarioResult::ProbeHop& hop : zoned.probe_hops) {
+    EXPECT_EQ(hop.fluid.bps(), 0.0);
+  }
+
+  const ScenarioResult all_fluid = run_small_fabric(1, std::nullopt);
+  EXPECT_EQ(all_fluid.events, 4034u);
+  EXPECT_EQ(all_fluid.hop_deliveries, 1200u);
+  const std::vector<double> fluid_bps{
+      2285714.25,   4190476.125,    9333333.1875,  8761904.625,
+      4380952.3125, 2571428.53125,  3238095.1875,  6190476.09375,
+      10761904.59375, 10285714.125, 6476190.375,   3904761.84375};
+  ASSERT_EQ(all_fluid.probe_hops.size(), fluid_bps.size());
+  for (std::size_t i = 0; i < fluid_bps.size(); ++i) {
+    EXPECT_EQ(all_fluid.probe_hops[i].fluid.bps(), fluid_bps[i])
+        << "hop " << i;
+  }
+}
+
+TEST(FluidSetupPinTest, TomographyMeshKeepsItsExactOutputs) {
+  // The mesh books its background through the same set-up, all fluid.
+  TomographySpec spec;
+  spec.topology.family = TopologySpec::Family::kAsHierarchy;
+  spec.topology.core_count = 4;
+  spec.topology.stubs_per_core = 2;
+  spec.topology.hosts_per_stub = 1;
+  spec.topology.peer_links = 2;
+  spec.topology.seed = 7;
+  spec.delta = Duration::millis(20);
+  spec.duration = Duration::seconds(4);
+  FluidBackgroundConfig background;
+  background.flows = 2000;
+  background.max_link_load = 0.5;
+  spec.fluid_background = background;
+  const TomographyResult result = run_tomography(spec);
+  EXPECT_EQ(result.streams, 56u);
+  EXPECT_EQ(result.events, 217826u);
+  EXPECT_EQ(result.loss_error, 0.33888750873960705);
 }
 
 }  // namespace

@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "obs/metrics.h"
 #include "sim/link.h"
 #include "sim/simulator.h"
+#include "util/rng.h"
 
 namespace bolot::sim {
 namespace {
@@ -234,9 +236,53 @@ TEST(FlowTableTest, RegisterMeanRatesFoldsDemandIntoAggregates) {
   table.register_mean_rates(by_link);
   EXPECT_DOUBLE_EQ(agg0.fluid_rate().bps(), 100e3);
   EXPECT_DOUBLE_EQ(agg2.fluid_rate().bps(), 140e3);
-  EXPECT_DOUBLE_EQ(table.link_demand(0).bps(), 100e3);
-  EXPECT_DOUBLE_EQ(table.link_demand(1).bps(), 100e3);
-  EXPECT_DOUBLE_EQ(table.link_demand(2).bps(), 140e3);
+  const std::vector<double> demand = table.link_demands(3);
+  EXPECT_DOUBLE_EQ(demand[0], 100e3);
+  EXPECT_DOUBLE_EQ(demand[1], 100e3);
+  EXPECT_DOUBLE_EQ(demand[2], 140e3);
+}
+
+TEST(FlowTableTest, LinkDemandsMatchPerLinkScanBitForBit) {
+  // The one-pass fold must reproduce, bit for bit, the per-link scan it
+  // replaces: for each link, the mean rates of the flows whose route
+  // contains it (once per route), summed in flow order.
+  constexpr std::size_t kLinks = 64;
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    FlowTable table;
+    std::vector<FlowTable::RouteId> routes{
+        table.intern_route({3, 9, 3}),           // repeats a uid
+        table.intern_route({5, kLinks + 2, 7})};  // names a uid past the end
+    while (routes.size() < 300) {
+      std::vector<std::uint32_t> links(1 + rng.uniform_int(8));
+      for (std::uint32_t& uid : links) {
+        uid = static_cast<std::uint32_t>(rng.uniform_int(kLinks));
+      }
+      routes.push_back(table.intern_route(links));
+    }
+    for (std::uint64_t f = 0; f < 10000; ++f) {
+      table.add_flow(f, routes[rng.uniform_int(routes.size())],
+                     Bandwidth::bps(rng.uniform(1e3, 1e6)),
+                     static_cast<float>(rng.uniform()));
+    }
+
+    const std::vector<double> demand = table.link_demands(kLinks);
+    ASSERT_EQ(demand.size(), kLinks);
+    for (std::uint32_t uid = 0; uid < kLinks; ++uid) {
+      double expected = 0.0;
+      for (FlowTable::FlowId f = 0; f < table.size(); ++f) {
+        const FlowTable::RouteId r = table.route(f);
+        for (std::size_t i = 0; i < table.route_length(r); ++i) {
+          if (table.route_link(r, i) == uid) {
+            expected += table.mean_rate(f).bps();
+            break;
+          }
+        }
+      }
+      EXPECT_EQ(demand[uid], expected) << "link " << uid;
+    }
+  }
 }
 
 TEST(FluidLinkTest, PacketsServeAtResidualRate) {
