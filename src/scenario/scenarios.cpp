@@ -8,8 +8,7 @@
 #include "nettime/clock.h"
 #include "obs/sampler.h"
 #include "obs/trace.h"
-#include "sim/pdes.h"
-#include "sim/simulator.h"
+#include "scenario/world.h"
 #include "sim/traffic.h"
 #include "sim/udp_echo.h"
 
@@ -36,70 +35,63 @@ struct ChainSpec {
   std::vector<std::string> names;  // path nodes, source first
   std::vector<HopSpec> hops;       // names.size() - 1 entries
   std::size_t bottleneck_hop = 0;  // index into hops
+  /// Hops with faulty interface cards: the ones
+  /// ScenarioOverrides::faulty_interface_drop sets.
+  std::vector<std::size_t> faulty_hops;
   Duration source_clock_tick;      // zero = exact clock
 };
 
-/// Warm-up before the probe run so cross traffic reaches steady state, and
-/// drain afterwards so in-flight echoes are counted.
-constexpr Duration kWarmup = Duration::seconds(5);
-constexpr Duration kDrain = Duration::seconds(2);
-
-/// Effective PDES domain count for a chain run: the requested count,
-/// clamped to the path length, with fallback to 1 (sequential) when the
-/// sampler is on (it reads state across the whole topology) or when any
-/// cut hop would have zero propagation delay (zero lookahead; MODEL_NOTES
-/// §14).  The partition is contiguous blocks of path nodes — path node i
-/// goes to domain i*d/n — so only chain hops can be cut; cross-traffic
-/// hosts ride with their router over never-cut access links.
-std::size_t effective_domains(const ChainSpec& spec,
-                              const ScenarioOverrides& overrides) {
-  std::size_t domains = std::max<std::size_t>(1, overrides.domains);
-  domains = std::min(domains, spec.names.size());
-  if (domains == 1) return 1;
-  if (overrides.obs_sample_interval) return 1;
-  const std::size_t n = spec.names.size();
-  for (std::size_t h = 0; h < spec.hops.size(); ++h) {
-    const bool cut = h * domains / n != (h + 1) * domains / n;
-    if (cut && spec.hops[h].propagation <= Duration::zero()) return 1;
+/// Applies the overrides every chain scenario honours to its spec.
+void apply_overrides(ChainSpec& spec, const ScenarioOverrides& overrides) {
+  HopSpec& bottleneck = spec.hops[spec.bottleneck_hop];
+  if (overrides.bottleneck_rate) bottleneck.rate = *overrides.bottleneck_rate;
+  if (overrides.bottleneck_buffer_packets) {
+    bottleneck.buffer_packets = *overrides.bottleneck_buffer_packets;
   }
-  return domains;
+  if (overrides.bottleneck_red) bottleneck.red = *overrides.bottleneck_red;
+  if (overrides.bottleneck_channel) {
+    bottleneck.channel = overrides.bottleneck_channel;
+  }
+  if (overrides.bottleneck_schedule) {
+    bottleneck.schedule = overrides.bottleneck_schedule;
+  }
+  if (overrides.faulty_interface_drop) {
+    for (const std::size_t hop : spec.faulty_hops) {
+      spec.hops[hop].random_drop = *overrides.faulty_interface_drop;
+    }
+  }
+  if (overrides.clock_tick) spec.source_clock_tick = *overrides.clock_tick;
 }
 
-ScenarioResult run_chain(const ChainSpec& spec, const ProbePlan& plan,
+ScenarioResult run_chain(ChainSpec spec, const ProbePlan& plan,
                          const CrossTraffic& cross,
                          const ScenarioOverrides& overrides) {
   TRACE_SCOPE("scenario.run_chain");
   if (spec.names.size() < 2 || spec.hops.size() + 1 != spec.names.size()) {
     throw std::invalid_argument("run_chain: inconsistent chain spec");
   }
+  apply_overrides(spec, overrides);
 
-  // One Simulator per PDES domain; with one domain this is exactly the
-  // sequential kernel (psim stays empty, no channels, no threads).
-  // Construction below is shared between both paths and single-threaded;
-  // only the Simulator& each link/source binds to differs, so the
-  // network's rng split order — and with it every random stream — is
-  // identical whichever kernel runs.
+  // Path node i is partition i, so the PDES partition is contiguous blocks
+  // of path nodes and only chain hops can be cut; cross-traffic hosts ride
+  // with their router over never-cut access links.
   const std::size_t n_path = spec.names.size();
-  const std::size_t domains = effective_domains(spec, overrides);
-  const auto path_domain = [&](std::size_t i) { return i * domains / n_path; };
-  std::optional<sim::ParallelSimulation> psim;
-  std::optional<sim::Simulator> seq;
-  if (domains > 1) {
-    psim.emplace(domains);
-  } else {
-    seq.emplace();
+  std::vector<CutCandidate> cuts;
+  for (std::size_t h = 0; h < spec.hops.size(); ++h) {
+    cuts.push_back({h, h + 1, spec.hops[h].propagation});
   }
-  const auto sim_of = [&](std::size_t domain) -> sim::Simulator& {
-    return psim ? psim->simulator(domain) : *seq;
-  };
-
-  sim::Simulator& simulator = sim_of(0);  // domain of the probe source
-  sim::Network net(simulator, plan.seed);
+  World world(clamp_domains(overrides.domains,
+                            overrides.obs_sample_interval.has_value(),
+                            n_path, cuts),
+              n_path, plan.seed);
+  sim::Network& net = world.net();
 
   // Path nodes and links.
   std::vector<sim::NodeId> path;
-  path.reserve(spec.names.size());
-  for (const auto& name : spec.names) path.push_back(net.add_node(name));
+  path.reserve(n_path);
+  for (std::size_t i = 0; i < n_path; ++i) {
+    path.push_back(world.add_node(spec.names[i], i));
+  }
   for (std::size_t h = 0; h < spec.hops.size(); ++h) {
     const HopSpec& hop = spec.hops[h];
     sim::LinkConfig config;
@@ -109,9 +101,6 @@ ScenarioResult run_chain(const ChainSpec& spec, const ProbePlan& plan,
     config.buffer_packets = hop.buffer_packets;
     config.random_drop_probability = hop.random_drop;
     config.red = hop.red;
-    // A link lives in the domain of the node whose queue it drains.
-    sim::Simulator& fwd_sim = sim_of(path_domain(h));
-    sim::Simulator& rev_sim = sim_of(path_domain(h + 1));
     if (hop.channel || hop.schedule) {
       // Channel stages are forward-only (see HopSpec), so the duplex pair
       // becomes two directed links with asymmetric configs.  Forward
@@ -120,12 +109,12 @@ ScenarioResult run_chain(const ChainSpec& spec, const ProbePlan& plan,
       // is unchanged.
       config.channel = hop.channel;
       config.schedule = hop.schedule;
-      net.add_link(path[h], path[h + 1], config, fwd_sim);
+      world.add_link(path[h], path[h + 1], config);
       config.channel.reset();
       config.schedule.reset();
-      net.add_link(path[h + 1], path[h], config, rev_sim);
+      world.add_link(path[h + 1], path[h], config);
     } else {
-      net.add_duplex_link(path[h], path[h + 1], config, fwd_sim, rev_sim);
+      world.add_duplex_link(path[h], path[h + 1], config);
     }
   }
 
@@ -140,20 +129,20 @@ ScenarioResult run_chain(const ChainSpec& spec, const ProbePlan& plan,
   access.rate = Bandwidth::bps(std::max(10e6, mu.bps() * 10.0));
   access.propagation = Duration::micros(100);
   access.buffer_packets = 2000;
-  const sim::NodeId host_up = net.add_node("cross-host-upstream");
-  const sim::NodeId host_down = net.add_node("cross-host-downstream");
-  // Hosts ride with their router's domain, so access links are never cut.
-  sim::Simulator& up_sim = sim_of(path_domain(spec.bottleneck_hop));
-  sim::Simulator& down_sim = sim_of(path_domain(spec.bottleneck_hop + 1));
-  net.add_duplex_link(host_up, upstream, access, up_sim, up_sim);
-  net.add_duplex_link(host_down, downstream, access, down_sim, down_sim);
+  const sim::NodeId host_up =
+      world.add_node("cross-host-upstream", spec.bottleneck_hop);
+  const sim::NodeId host_down =
+      world.add_node("cross-host-downstream", spec.bottleneck_hop + 1);
+  world.add_duplex_link(host_up, upstream, access);
+  world.add_duplex_link(host_down, downstream, access);
 
   Rng rng(plan.seed ^ 0xC0FFEE);
   std::vector<std::unique_ptr<sim::TrafficSource>> sources;
   std::uint32_t next_flow = 1;
 
-  const auto add_direction = [&](sim::Simulator& src_sim, sim::NodeId from,
-                                 sim::NodeId to, double scale) {
+  const auto add_direction = [&](sim::NodeId from, sim::NodeId to,
+                                 double scale) {
+    sim::Simulator& src_sim = world.sim_of(from);
     const double session_bps = cross.session_load * mu.bps() * scale;
     if (session_bps > 0.0) {
       sim::FtpSessionConfig session;
@@ -199,12 +188,11 @@ ScenarioResult run_chain(const ChainSpec& spec, const ProbePlan& plan,
           cross.interactive_packet));
     }
   };
-  add_direction(up_sim, host_up, host_down, 1.0);
-  add_direction(down_sim, host_down, host_up, cross.reverse_scale);
+  add_direction(host_up, host_down, 1.0);
+  add_direction(host_down, host_up, cross.reverse_scale);
 
-  // NetDyn endpoints: source at the head of the chain (domain 0), echo at
-  // the tail (the last domain).
-  sim::EchoHost echo(sim_of(path_domain(n_path - 1)), net, path.back());
+  // NetDyn endpoints: source at the head of the chain, echo at the tail.
+  sim::EchoHost echo(world.sim_of(path.back()), net, path.back());
   sim::ProbeSourceConfig probe_config;
   probe_config.delta = plan.delta;
   probe_config.probe_wire = plan.probe_wire;
@@ -212,8 +200,8 @@ ScenarioResult run_chain(const ChainSpec& spec, const ProbePlan& plan,
   if (spec.source_clock_tick > Duration::zero()) {
     probe_config.clock_tick = spec.source_clock_tick;
   }
-  sim::UdpEchoSource probe_source(simulator, net, path.front(), path.back(),
-                                  probe_config);
+  sim::UdpEchoSource probe_source(world.sim_of(path.front()), net,
+                                  path.front(), path.back(), probe_config);
 
   // Optional observability: nothing below is even constructed on the
   // default path, so default runs schedule exactly the same events.
@@ -229,6 +217,7 @@ ScenarioResult run_chain(const ChainSpec& spec, const ProbePlan& plan,
   obs::MetricsRegistry registry;
   std::optional<obs::Sampler> sampler;
   if (overrides.obs_sample_interval) {
+    sim::Simulator& simulator = world.kernel().simulator(0);
     sampler.emplace(simulator, *overrides.obs_sample_interval,
                     overrides.obs_series_budget);
     // Both directions of a duplex link share one config name; publish
@@ -247,18 +236,7 @@ ScenarioResult run_chain(const ChainSpec& spec, const ProbePlan& plan,
   }
 
   net.compute_routes();
-  if (psim) {
-    // Map every node to its domain (add_node order: path, then the two
-    // cross hosts) and wire the cut links to handoff channels.
-    std::vector<std::size_t> node_domain;
-    node_domain.reserve(net.node_count());
-    for (std::size_t i = 0; i < n_path; ++i) {
-      node_domain.push_back(path_domain(i));
-    }
-    node_domain.push_back(path_domain(spec.bottleneck_hop));      // host_up
-    node_domain.push_back(path_domain(spec.bottleneck_hop + 1));  // host_down
-    psim->attach(net, node_domain);
-  }
+  world.attach();
   for (auto& source : sources) {
     // Stagger starts so sources do not phase-lock on the first event.
     source->start(Duration::millis(rng.uniform(0.0, 100.0)));
@@ -267,35 +245,17 @@ ScenarioResult run_chain(const ChainSpec& spec, const ProbePlan& plan,
   if (sampler) sampler->start(kWarmup);
 
   const Duration end = kWarmup + plan.duration + kDrain;
-  if (psim) {
-    psim->run_until(end);
-  } else {
-    simulator.run_until(end);
-  }
+  world.run_until(end);
   if (sampler) sampler->stop();
 
-  ScenarioResult result;
-  result.trace = probe_source.trace();
-  result.route = net.traceroute(path.front(), path.back());
-  result.bottleneck_forward = bneck_fwd.stats();
-  result.bottleneck_reverse = bneck_rev.stats();
-  result.total_overflow_drops = net.total_overflow_drops();
-  result.total_random_drops = net.total_random_drops();
-  result.total_channel_drops = net.total_channel_drops();
-  result.hop_deliveries = net.total_delivered();
-  result.simulated = end;
-  result.events = psim ? psim->events_dispatched()
-                       : simulator.events_dispatched();
-  result.domains_used = domains;
-  if (sampler) {
-    result.metrics = registry.snapshot(simulator.now());
-    result.series = sampler->snapshot();
-  }
+  ScenarioResult result =
+      probe_result(world, probe_source, path.front(), path.back(), bneck_fwd,
+                   bneck_rev, end, registry, sampler);
   result.bottleneck_delivery_times = std::move(bneck_deliveries);
   return result;
 }
 
-ChainSpec inria_umd_spec(const ScenarioOverrides& overrides) {
+ChainSpec inria_umd_spec() {
   ChainSpec spec;
   spec.names = inria_umd_route_names();
   // Rates/propagations chosen so the fixed round-trip delay is ~140 ms
@@ -312,33 +272,12 @@ ChainSpec inria_umd_spec(const ScenarioOverrides& overrides) {
       {Bandwidth::bps(10e6), Duration::millis(0.2), 100, Probability::zero(), {}},    // UMd campus
   };
   spec.bottleneck_hop = 3;
+  spec.faulty_hops = {6, 7};
   spec.source_clock_tick = kDecstationTick;  // DECstation 5000
-
-  if (overrides.bottleneck_rate) {
-    spec.hops[spec.bottleneck_hop].rate = *overrides.bottleneck_rate;
-  }
-  if (overrides.bottleneck_buffer_packets) {
-    spec.hops[spec.bottleneck_hop].buffer_packets =
-        *overrides.bottleneck_buffer_packets;
-  }
-  if (overrides.bottleneck_red) {
-    spec.hops[spec.bottleneck_hop].red = *overrides.bottleneck_red;
-  }
-  if (overrides.bottleneck_channel) {
-    spec.hops[spec.bottleneck_hop].channel = overrides.bottleneck_channel;
-  }
-  if (overrides.bottleneck_schedule) {
-    spec.hops[spec.bottleneck_hop].schedule = overrides.bottleneck_schedule;
-  }
-  if (overrides.faulty_interface_drop) {
-    spec.hops[6].random_drop = *overrides.faulty_interface_drop;
-    spec.hops[7].random_drop = *overrides.faulty_interface_drop;
-  }
-  if (overrides.clock_tick) spec.source_clock_tick = *overrides.clock_tick;
   return spec;
 }
 
-ChainSpec umd_pitt_spec(const ScenarioOverrides& overrides) {
+ChainSpec umd_pitt_spec() {
   ChainSpec spec;
   spec.names = umd_pitt_route_names();
   // The T3 backbone is fast; the Pittsburgh campus Ethernet is the
@@ -360,28 +299,8 @@ ChainSpec umd_pitt_spec(const ScenarioOverrides& overrides) {
       {Bandwidth::bps(10e6), Duration::millis(0.2), 60, Probability::zero(), {}},    // -> hub-eh.gw.pitt.edu
   };
   spec.bottleneck_hop = 11;
+  spec.faulty_hops = {10};
   spec.source_clock_tick = kUmdPittClockTick;
-
-  if (overrides.bottleneck_rate) {
-    spec.hops[spec.bottleneck_hop].rate = *overrides.bottleneck_rate;
-  }
-  if (overrides.bottleneck_buffer_packets) {
-    spec.hops[spec.bottleneck_hop].buffer_packets =
-        *overrides.bottleneck_buffer_packets;
-  }
-  if (overrides.bottleneck_red) {
-    spec.hops[spec.bottleneck_hop].red = *overrides.bottleneck_red;
-  }
-  if (overrides.bottleneck_channel) {
-    spec.hops[spec.bottleneck_hop].channel = overrides.bottleneck_channel;
-  }
-  if (overrides.bottleneck_schedule) {
-    spec.hops[spec.bottleneck_hop].schedule = overrides.bottleneck_schedule;
-  }
-  if (overrides.faulty_interface_drop) {
-    spec.hops[10].random_drop = *overrides.faulty_interface_drop;
-  }
-  if (overrides.clock_tick) spec.source_clock_tick = *overrides.clock_tick;
   return spec;
 }
 
@@ -429,12 +348,11 @@ const std::vector<std::string>& umd_pitt_route_names() {
 
 ScenarioResult run_inria_umd(const ProbePlan& plan,
                              const ScenarioOverrides& overrides) {
-  const ChainSpec spec = inria_umd_spec(overrides);
   const CrossTraffic cross = overrides.cross_traffic.value_or(CrossTraffic{});
-  return run_chain(spec, plan, cross, overrides);
+  return run_chain(inria_umd_spec(), plan, cross, overrides);
 }
 
-ChainSpec inria_europe_spec(const ScenarioOverrides& overrides) {
+ChainSpec inria_europe_spec() {
   ChainSpec spec;
   spec.names = inria_europe_route_names();
   // Six hops inside Europe; the 2 Mb/s national backbone segment is the
@@ -447,34 +365,13 @@ ChainSpec inria_europe_spec(const ScenarioOverrides& overrides) {
       {Bandwidth::bps(10e6), Duration::millis(2.0), 100, Probability::zero(), {}},   // destination campus
   };
   spec.bottleneck_hop = 2;
+  spec.faulty_hops = {3};
   spec.source_clock_tick = kDecstationTick;  // same INRIA source host
-
-  if (overrides.bottleneck_rate) {
-    spec.hops[spec.bottleneck_hop].rate = *overrides.bottleneck_rate;
-  }
-  if (overrides.bottleneck_buffer_packets) {
-    spec.hops[spec.bottleneck_hop].buffer_packets =
-        *overrides.bottleneck_buffer_packets;
-  }
-  if (overrides.bottleneck_red) {
-    spec.hops[spec.bottleneck_hop].red = *overrides.bottleneck_red;
-  }
-  if (overrides.bottleneck_channel) {
-    spec.hops[spec.bottleneck_hop].channel = overrides.bottleneck_channel;
-  }
-  if (overrides.bottleneck_schedule) {
-    spec.hops[spec.bottleneck_hop].schedule = overrides.bottleneck_schedule;
-  }
-  if (overrides.faulty_interface_drop) {
-    spec.hops[3].random_drop = *overrides.faulty_interface_drop;
-  }
-  if (overrides.clock_tick) spec.source_clock_tick = *overrides.clock_tick;
   return spec;
 }
 
 ScenarioResult run_umd_pitt(const ProbePlan& plan,
                             const ScenarioOverrides& overrides) {
-  const ChainSpec spec = umd_pitt_spec(overrides);
   // Campus-Ethernet cross traffic: full-MTU packets and larger bursts
   // (many concurrent flows share the 10 Mb/s segment), so probes queue
   // for several ms and the delta = 8 ms compression line of Fig. 5
@@ -487,12 +384,11 @@ ScenarioResult run_umd_pitt(const ProbePlan& plan,
   defaults.interactive_load = 0.08;
   defaults.interactive_packet = ByteSize::bytes(128);
   const CrossTraffic cross = overrides.cross_traffic.value_or(defaults);
-  return run_chain(spec, plan, cross, overrides);
+  return run_chain(umd_pitt_spec(), plan, cross, overrides);
 }
 
 ScenarioResult run_inria_europe(const ProbePlan& plan,
                                 const ScenarioOverrides& overrides) {
-  const ChainSpec spec = inria_europe_spec(overrides);
   // European mid-speed path: the same traffic families at intermediate
   // intensity (the bottleneck is 16x faster than the transatlantic link,
   // packets are the same sizes).
@@ -502,7 +398,7 @@ ScenarioResult run_inria_europe(const ProbePlan& plan,
   defaults.mean_burst_packets = 12.0;
   defaults.interactive_load = 0.08;
   const CrossTraffic cross = overrides.cross_traffic.value_or(defaults);
-  return run_chain(spec, plan, cross, overrides);
+  return run_chain(inria_europe_spec(), plan, cross, overrides);
 }
 
 }  // namespace bolot::scenario

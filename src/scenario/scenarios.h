@@ -99,14 +99,13 @@ struct ScenarioOverrides {
   bool record_bottleneck_deliveries = false;
   /// Shard the run across this many PDES domains (sim/pdes.h): the path
   /// is cut into contiguous node blocks, cross-traffic hosts ride with
-  /// their router, and cut hops must have positive propagation delay.
-  /// The event stream is that of the sequential kernel; see MODEL_NOTES
-  /// §14.  Chain scenarios clamp to the path length; run_topology clamps
-  /// to the generator's TopologyPlan::partition_count.  Falls back to 1
-  /// when a cut hop would have zero lookahead or when
-  /// obs_sample_interval is set (the sampler reads state across the
-  /// whole topology).  Default 1 keeps every default output
-  /// byte-identical to the sequential kernel.
+  /// their router.  The event stream is that of the sequential kernel;
+  /// see MODEL_NOTES §14.  One clamp serves every runner
+  /// (scenario/world.h): at most one domain per partition (chain: path
+  /// node; run_topology: TopologyPlan partition hint), and 1 when a cut
+  /// edge would have zero lookahead or when obs_sample_interval is set
+  /// (the sampler reads state across the whole topology).  Default 1
+  /// keeps every default output byte-identical.
   std::size_t domains = 1;
   /// --- run_topology only (ignored by the chain scenarios) ---
   /// Generated topology to probe instead of a historical path.

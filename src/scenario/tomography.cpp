@@ -17,8 +17,7 @@
 #include "analysis/streaming.h"
 #include "obs/sampler.h"
 #include "obs/trace.h"
-#include "sim/pdes.h"
-#include "sim/simulator.h"
+#include "scenario/world.h"
 #include "sim/udp_echo.h"
 
 namespace bolot::scenario {
@@ -27,27 +26,6 @@ namespace {
 
 constexpr Duration kMeshWarmup = Duration::seconds(2);
 constexpr Duration kMeshDrain = Duration::seconds(2);
-
-/// Same clamp-and-fallback rules as run_topology: the generator's
-/// partition hints bound the domain count, the sampler forces the
-/// sequential kernel, and a zero-lookahead cut edge does too.
-std::size_t effective_mesh_domains(const TopologyPlan& topo,
-                                   const TomographySpec& spec) {
-  std::size_t domains = std::max<std::size_t>(1, spec.domains);
-  domains = std::min(domains, topo.partition_count);
-  if (domains == 1) return 1;
-  if (spec.obs_sample_interval) return 1;
-  const auto domain_of = [&](std::uint32_t node) {
-    return topo.nodes[node].partition * domains / topo.partition_count;
-  };
-  for (const TopologyPlan::EdgeSpec& edge : topo.edges) {
-    if (domain_of(edge.a) != domain_of(edge.b) &&
-        edge.propagation <= Duration::zero()) {
-      return 1;
-    }
-  }
-  return domains;
-}
 
 /// One round-trip probe stream with its online estimator bank.
 struct Stream {
@@ -262,30 +240,11 @@ TomographyResult run_tomography(const TomographySpec& spec) {
     throw std::invalid_argument("run_tomography: need at least two hosts");
   }
 
-  const std::size_t domains = effective_mesh_domains(topo, spec);
-  std::optional<sim::ParallelSimulation> psim;
-  std::optional<sim::Simulator> seq;
-  if (domains > 1) {
-    psim.emplace(domains);
-  } else {
-    seq.emplace();
-  }
-  const auto sim_of = [&](std::size_t domain) -> sim::Simulator& {
-    return psim ? psim->simulator(domain) : *seq;
-  };
-
-  sim::Network net(sim_of(0), spec.seed);
-  const BuiltTopology built = instantiate_topology(topo, net, domains, sim_of);
-  net.compute_routes();
-
-  std::vector<std::size_t> domain_of_node(net.node_count(), 0);
-  for (std::size_t i = 0; i < built.nodes.size(); ++i) {
-    domain_of_node[built.nodes[i]] = built.node_domain[i];
-  }
-  const auto sim_of_node = [&](sim::NodeId node) -> sim::Simulator& {
-    return sim_of(domain_of_node[node]);
-  };
-  const LinkRouter router(net);
+  World world(clamp_domains(spec.domains, spec.obs_sample_interval.has_value(),
+                            topo.partition_count, cut_candidates(topo)),
+              topo.partition_count, spec.seed);
+  instantiate_topology(topo, world);
+  sim::Network& net = world.net();
 
   // --- Loss ground truth: seeded per-directed-link drop probabilities ---
   // Drawn per link uid (plan order), so the assignment is independent of
@@ -299,7 +258,7 @@ TomographyResult run_tomography(const TomographySpec& spec) {
   }
 
   // --- Delay ground truth: delivery hooks (sequential kernel only) ------
-  const bool collect_delay = domains == 1;
+  const bool collect_delay = world.domains() == 1;
   DelayTruth delay_truth;
   if (collect_delay) {
     delay_truth.sum_ms.assign(net.link_count(), 0.0);
@@ -331,8 +290,8 @@ TomographyResult run_tomography(const TomographySpec& spec) {
   // --- Optional fluid background (all flows folded; no packetized zone) -
   FluidBackground fluid;
   if (spec.fluid_background) {
-    fluid = book_fluid_background(*spec.fluid_background, topo, built, net,
-                                  router, /*in_zone=*/{}, sim_of_node);
+    fluid = book_fluid_background(*spec.fluid_background, topo, world,
+                                  /*in_zone=*/{});
   }
 
   // --- Streams: every ordered host pair, round-trip probed --------------
@@ -344,10 +303,10 @@ TomographyResult run_tomography(const TomographySpec& spec) {
   for (std::size_t i = 0; i < host_count; ++i) {
     for (std::size_t j = 0; j < host_count; ++j) {
       if (i == j) continue;
-      const sim::NodeId src = built.nodes[topo.hosts[i]];
-      const sim::NodeId dst = built.nodes[topo.hosts[j]];
-      std::vector<std::uint32_t> round_trip = router.route(src, dst);
-      const std::vector<std::uint32_t> back = router.route(dst, src);
+      const sim::NodeId src = topo.hosts[i];
+      const sim::NodeId dst = topo.hosts[j];
+      std::vector<std::uint32_t> round_trip = net.route_links(src, dst);
+      const std::vector<std::uint32_t> back = net.route_links(dst, src);
       round_trip.insert(round_trip.end(), back.begin(), back.end());
       double mu = net.link_at(round_trip.front()).config().rate.bps();
       for (const std::uint32_t uid : round_trip) {
@@ -382,22 +341,20 @@ TomographyResult run_tomography(const TomographySpec& spec) {
   }
   const std::size_t stream_count = mesh.streams.size();
 
-  // One endpoint per host node; host i sources streams to every j != i.
+  // One endpoint per host node; host i sources streams
+  // [i * (host_count - 1), (i + 1) * (host_count - 1)), to every j != i.
   std::vector<std::unique_ptr<MeshProbeHost>> hosts;
   hosts.reserve(host_count);
-  std::map<sim::NodeId, MeshProbeHost*> host_of;
-  for (const std::uint32_t h : topo.hosts) {
-    const sim::NodeId node = built.nodes[h];
+  for (const sim::NodeId node : topo.hosts) {
     hosts.push_back(std::make_unique<MeshProbeHost>(
-        sim_of_node(node), net, node, mesh, spec.delta, spec.probe_wire,
+        world.sim_of(node), net, node, mesh, spec.delta, spec.probe_wire,
         spec.pair_stride));
-    host_of[node] = hosts.back().get();
   }
 
   // --- Observability: mesh-aggregate gauges off the online accessors ----
   std::optional<obs::Sampler> sampler;
-  if (spec.obs_sample_interval && domains == 1) {
-    sampler.emplace(sim_of(0), *spec.obs_sample_interval,
+  if (spec.obs_sample_interval) {  // clamp_domains kept one domain
+    sampler.emplace(world.kernel().simulator(0), *spec.obs_sample_interval,
                     spec.obs_series_budget);
     MeshState* m = &mesh;
     sampler->add_series("mesh.received_total", [m] {
@@ -431,9 +388,7 @@ TomographyResult run_tomography(const TomographySpec& spec) {
     });
   }
 
-  if (psim) {
-    psim->attach(net, built.node_domain);
-  }
+  world.attach();
   for (auto& envelope : fluid.envelopes) envelope->start(Duration::zero());
   // Staggered starts spread the mesh's send instants across one delta so
   // streams do not fire in lockstep.
@@ -442,16 +397,12 @@ TomographyResult run_tomography(const TomographySpec& spec) {
         Duration::nanos(static_cast<std::int64_t>(spec.delta.count_nanos()) *
                         static_cast<std::int64_t>(s) /
                         static_cast<std::int64_t>(stream_count));
-    host_of.at(mesh.streams[s].src)->start_stream(s, kMeshWarmup + stagger);
+    hosts[s / (host_count - 1)]->start_stream(s, kMeshWarmup + stagger);
   }
   if (sampler) sampler->start(kMeshWarmup);
 
   const Duration end = kMeshWarmup + spec.duration + kMeshDrain;
-  if (psim) {
-    psim->run_until(end);
-  } else {
-    seq->run_until(end);
-  }
+  world.run_until(end);
   if (sampler) sampler->stop();
 
   // Probes sent but never returned are lost; close every stream's push
@@ -464,10 +415,10 @@ TomographyResult run_tomography(const TomographySpec& spec) {
   TomographyResult result;
   result.hosts = host_count;
   result.streams = stream_count;
-  result.domains_used = domains;
+  result.domains_used = world.domains();
   result.delay_truth_collected = collect_delay;
   result.simulated = end;
-  result.events = psim ? psim->events_dispatched() : seq->events_dispatched();
+  result.events = world.events();
   if (sampler) result.series = sampler->snapshot();
 
   // Routing matrix columns (per directed link crossed by any stream), then

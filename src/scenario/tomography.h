@@ -93,8 +93,8 @@ struct TomographySpec {
   /// Ridge lambda used when the link-class system is rank deficient.
   double ridge_lambda = 1e-6;
 
-  /// When set (and domains == 1), a Sampler records mesh-aggregate gauges
-  /// fed by the streaming estimators' online accessors.
+  /// When set (which forces one domain), a Sampler records mesh-aggregate
+  /// gauges fed by the streaming estimators' online accessors.
   std::optional<Duration> obs_sample_interval;
   std::size_t obs_series_budget = 4096;
 };

@@ -236,24 +236,26 @@ TopologyPlan generate_topology(const TopologySpec& spec) {
   throw std::invalid_argument("generate_topology: unknown family");
 }
 
-BuiltTopology instantiate_topology(
-    const TopologyPlan& plan, sim::Network& net, std::size_t domains,
-    const std::function<sim::Simulator&(std::size_t)>& sim_of) {
-  if (plan.partition_count == 0 || domains == 0) {
-    throw std::invalid_argument("instantiate_topology: zero partitions");
+std::vector<CutCandidate> cut_candidates(const TopologyPlan& plan) {
+  std::vector<CutCandidate> edges;
+  edges.reserve(plan.edges.size());
+  for (const TopologyPlan::EdgeSpec& edge : plan.edges) {
+    edges.push_back({plan.nodes[edge.a].partition,
+                     plan.nodes[edge.b].partition, edge.propagation});
   }
-  if (domains > plan.partition_count) {
+  return edges;
+}
+
+void instantiate_topology(const TopologyPlan& plan, World& world) {
+  if (world.partitions() != plan.partition_count) {
     throw std::invalid_argument(
-        "instantiate_topology: more domains than partition hints (clamp "
-        "against TopologyPlan::partition_count first)");
+        "instantiate_topology: world partitions differ from the plan's");
   }
-  BuiltTopology built;
-  built.nodes.reserve(plan.nodes.size());
-  built.node_domain.reserve(plan.nodes.size());
+  if (world.net().node_count() != 0) {
+    throw std::invalid_argument("instantiate_topology: world not empty");
+  }
   for (const TopologyPlan::NodeSpec& node : plan.nodes) {
-    built.nodes.push_back(net.add_node(node.name));
-    built.node_domain.push_back(node.partition * domains /
-                                plan.partition_count);
+    world.add_node(node.name, node.partition);
   }
   for (const TopologyPlan::EdgeSpec& edge : plan.edges) {
     sim::LinkConfig config;
@@ -262,36 +264,15 @@ BuiltTopology instantiate_topology(
     config.rate = edge.rate;
     config.propagation = edge.propagation;
     config.buffer_packets = edge.buffer_packets;
-    net.add_duplex_link(built.nodes[edge.a], built.nodes[edge.b], config,
-                        sim_of(built.node_domain[edge.a]),
-                        sim_of(built.node_domain[edge.b]));
+    world.add_duplex_link(edge.a, edge.b, config);
   }
-  return built;
+  world.net().compute_routes();
 }
 
-LinkRouter::LinkRouter(const sim::Network& net) : net_(net) {
-  for (std::size_t i = 0; i < net.link_count(); ++i) {
-    uid_of_[{net.link_source(i), net.link_target(i)}] =
-        static_cast<std::uint32_t>(i);
-  }
-}
-
-std::vector<std::uint32_t> LinkRouter::route(sim::NodeId from,
-                                             sim::NodeId to) const {
-  std::vector<std::uint32_t> uids;
-  const auto hops = net_.traceroute(from, to);
-  uids.reserve(hops.size() - 1);
-  for (std::size_t i = 0; i + 1 < hops.size(); ++i) {
-    uids.push_back(uid_of_.at({hops[i].node, hops[i + 1].node}));
-  }
-  return uids;
-}
-
-FluidBackground book_fluid_background(
-    const FluidBackgroundConfig& config, const TopologyPlan& topo,
-    const BuiltTopology& built, sim::Network& net, const LinkRouter& router,
-    const std::vector<bool>& in_zone,
-    const std::function<sim::Simulator&(sim::NodeId)>& sim_of_node) {
+FluidBackground book_fluid_background(const FluidBackgroundConfig& config,
+                                      const TopologyPlan& topo, World& world,
+                                      const std::vector<bool>& in_zone) {
+  sim::Network& net = world.net();
   FluidBackground out;
 
   // Pass 1: draw the population's host pairs from a seeded stream and
@@ -322,9 +303,9 @@ FluidBackground book_fluid_background(
     if (slot == kUnseen) {
       slot = static_cast<std::uint32_t>(pairs.size());
       PairRoute& pair = pairs.emplace_back();
-      pair.src = built.nodes[topo.hosts[si]];
-      pair.dst = built.nodes[topo.hosts[di]];
-      pair.uids = router.route(pair.src, pair.dst);
+      pair.src = topo.hosts[si];
+      pair.dst = topo.hosts[di];
+      pair.uids = net.route_links(pair.src, pair.dst);
       pair.packetized =
           !in_zone.empty() &&
           std::any_of(pair.uids.begin(), pair.uids.end(),
@@ -385,7 +366,7 @@ FluidBackground book_fluid_background(
     const Bandwidth demand = Bandwidth::bps(out.demand[i]);
     if (!demand.is_positive()) continue;
     sim::Link& link = net.link_at(i);
-    sim::Simulator& link_sim = sim_of_node(net.link_source(i));
+    sim::Simulator& link_sim = world.sim_of(net.link_source(i));
     sim::FluidAggregateConfig aggregate_config;
     aggregate_config.capacity = link.config().rate;
     aggregate_config.queue_model = config.queue_model;

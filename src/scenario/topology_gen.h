@@ -2,7 +2,7 @@
 //
 // Two families, both emitting a TopologyPlan — a pure-value description of
 // nodes, duplex edges, and PDES partition hints — that instantiate_topology
-// turns into a live Network bound to one Simulator per domain:
+// builds into a World (scenario/world.h), one simulator per domain:
 //
 //   * kFatTree     — the classic k-ary fat-tree (k pods of k/2 edge + k/2
 //                    aggregation switches, (k/2)^2 core switches), hosts
@@ -21,17 +21,16 @@
 // book_fluid_background loads a built fabric with a seeded background
 // flow population (MODEL_NOTES §15) — the one set-up path run_topology
 // and run_tomography share.  Cost: O(flows x route length + host pairs x
-// traceroute); each host pair is routed and interned once.
+// route length); each host pair is routed and interned once.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "scenario/world.h"
 #include "sim/fluid.h"
 #include "sim/network.h"
 #include "util/time.h"
@@ -99,20 +98,17 @@ struct TopologyPlan {
 
 TopologyPlan generate_topology(const TopologySpec& spec);
 
-struct BuiltTopology {
-  std::vector<sim::NodeId> nodes;        // plan.nodes order
-  std::vector<std::size_t> node_domain;  // for ParallelSimulation::attach
-};
+/// Cut-candidate edges of `plan` for clamp_domains: each edge between
+/// its endpoints' partition hints.
+std::vector<CutCandidate> cut_candidates(const TopologyPlan& plan);
 
-/// Instantiates `plan` into `net` across `domains` PDES domains: node i
-/// lands in domain partition_i * domains / partition_count, each edge
-/// becomes a duplex link homed per direction in its source node's domain
-/// via `sim_of(domain)`.  Edge order is plan order, so the Network's
+/// Builds `plan` into an empty `world` whose partition count is the
+/// plan's, and computes its routes: node i becomes NodeId i, homed by its
+/// partition hint, and each edge a duplex link homed per direction in its
+/// source node's domain.  Edge order is plan order, so the Network's
 /// per-link rng split order — and every random stream — is a function of
 /// the plan alone, not of the domain count.
-BuiltTopology instantiate_topology(
-    const TopologyPlan& plan, sim::Network& net, std::size_t domains,
-    const std::function<sim::Simulator&(std::size_t)>& sim_of);
+void instantiate_topology(const TopologyPlan& plan, World& world);
 
 /// Background-traffic population for generated-topology runs
 /// (run_topology, run_tomography): `flows` on/off flows between seeded
@@ -143,18 +139,6 @@ struct FluidBackgroundConfig {
   std::uint64_t seed = 0xF10D;
 };
 
-/// Routed paths of a built network as directed link uids (Network link
-/// indices), the form FlowTable routes and probe round trips take.
-class LinkRouter {
- public:
-  explicit LinkRouter(const sim::Network& net);
-  std::vector<std::uint32_t> route(sim::NodeId from, sim::NodeId to) const;
-
- private:
-  const sim::Network& net_;
-  std::map<std::pair<sim::NodeId, sim::NodeId>, std::uint32_t> uid_of_;
-};
-
 struct FluidBackground {
   sim::FlowTable table;  // the folded (fluid) flows
   /// Mean fluid demand per link uid, bps (FlowTable::link_demands).
@@ -169,16 +153,13 @@ struct FluidBackground {
   std::vector<std::unique_ptr<sim::FluidFlow>> envelopes;
 };
 
-/// Books `config`'s flow population onto a built fabric.  `in_zone[uid]`
-/// marks the packetized zone (empty = no zone: every flow is fluid);
-/// `sim_of_node` gives the simulator of a node's PDES domain, where each
-/// link's aggregate is homed (by its source node).  Aggregates and
-/// envelopes are seeded by link uid, so the set-up does not depend on the
-/// domain count.
-FluidBackground book_fluid_background(
-    const FluidBackgroundConfig& config, const TopologyPlan& topo,
-    const BuiltTopology& built, sim::Network& net, const LinkRouter& router,
-    const std::vector<bool>& in_zone,
-    const std::function<sim::Simulator&(sim::NodeId)>& sim_of_node);
+/// Books `config`'s flow population onto the fabric instantiate_topology
+/// built from `topo` into `world`.  `in_zone[uid]` marks the packetized
+/// zone (empty = no zone: every flow is fluid).  Each link's aggregate is
+/// homed in its source node's domain; aggregates and envelopes are seeded
+/// by link uid, so the set-up does not depend on the domain count.
+FluidBackground book_fluid_background(const FluidBackgroundConfig& config,
+                                      const TopologyPlan& topo, World& world,
+                                      const std::vector<bool>& in_zone);
 
 }  // namespace bolot::scenario

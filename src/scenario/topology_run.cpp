@@ -7,82 +7,18 @@
 #include "scenario/scenarios.h"
 
 #include <algorithm>
-#include <limits>
 #include <memory>
-#include <queue>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "obs/sampler.h"
 #include "obs/trace.h"
-#include "sim/pdes.h"
-#include "sim/simulator.h"
+#include "scenario/world.h"
 #include "sim/traffic.h"
 #include "sim/udp_echo.h"
 
 namespace bolot::scenario {
-
-namespace {
-
-constexpr Duration kTopoWarmup = Duration::seconds(5);
-constexpr Duration kTopoDrain = Duration::seconds(2);
-
-/// Effective PDES domain count for a generated topology: the requested
-/// count clamped against the *generator's* partition hints — not any route
-/// length; a mesh has no single route (the ScenarioOverrides::domains
-/// clamp bugfix) — with the same fallbacks as the chain scenarios: 1 when
-/// the sampler is on or when any cut edge would have zero lookahead.
-std::size_t effective_topology_domains(const TopologyPlan& topo,
-                                       const ScenarioOverrides& overrides) {
-  std::size_t domains = std::max<std::size_t>(1, overrides.domains);
-  domains = std::min(domains, topo.partition_count);
-  if (domains == 1) return 1;
-  if (overrides.obs_sample_interval) return 1;
-  const auto domain_of = [&](std::uint32_t node) {
-    return topo.nodes[node].partition * domains / topo.partition_count;
-  };
-  for (const TopologyPlan::EdgeSpec& edge : topo.edges) {
-    if (domain_of(edge.a) != domain_of(edge.b) &&
-        edge.propagation <= Duration::zero()) {
-      return 1;
-    }
-  }
-  return domains;
-}
-
-/// Multi-source BFS over the undirected wiring: hop distance from every
-/// node to the nearest probe-path node (path nodes are distance 0).
-std::vector<std::size_t> hops_from_path(
-    const TopologyPlan& topo, const std::vector<bool>& on_path) {
-  constexpr std::size_t kUnreached = std::numeric_limits<std::size_t>::max();
-  std::vector<std::vector<std::uint32_t>> adjacency(topo.nodes.size());
-  for (const TopologyPlan::EdgeSpec& edge : topo.edges) {
-    adjacency[edge.a].push_back(edge.b);
-    adjacency[edge.b].push_back(edge.a);
-  }
-  std::vector<std::size_t> dist(topo.nodes.size(), kUnreached);
-  std::queue<std::uint32_t> frontier;
-  for (std::uint32_t n = 0; n < topo.nodes.size(); ++n) {
-    if (on_path[n]) {
-      dist[n] = 0;
-      frontier.push(n);
-    }
-  }
-  while (!frontier.empty()) {
-    const std::uint32_t n = frontier.front();
-    frontier.pop();
-    for (const std::uint32_t m : adjacency[n]) {
-      if (dist[m] == kUnreached) {
-        dist[m] = dist[n] + 1;
-        frontier.push(m);
-      }
-    }
-  }
-  return dist;
-}
-
-}  // namespace
 
 ScenarioResult run_topology(const ProbePlan& plan,
                             const ScenarioOverrides& overrides) {
@@ -97,50 +33,38 @@ ScenarioResult run_topology(const ProbePlan& plan,
   const FluidBackgroundConfig background =
       overrides.fluid_background.value_or(FluidBackgroundConfig{});
 
-  const std::size_t domains = effective_topology_domains(topo, overrides);
-  std::optional<sim::ParallelSimulation> psim;
-  std::optional<sim::Simulator> seq;
-  if (domains > 1) {
-    psim.emplace(domains);
-  } else {
-    seq.emplace();
-  }
-  const auto sim_of = [&](std::size_t domain) -> sim::Simulator& {
-    return psim ? psim->simulator(domain) : *seq;
-  };
-
-  sim::Network net(sim_of(0), plan.seed);
-  const BuiltTopology built = instantiate_topology(topo, net, domains, sim_of);
-  net.compute_routes();
-
-  // Plan node index -> domain, by NodeId (add order == plan order).
-  std::vector<std::size_t> domain_of_node(net.node_count(), 0);
-  for (std::size_t i = 0; i < built.nodes.size(); ++i) {
-    domain_of_node[built.nodes[i]] = built.node_domain[i];
-  }
-  const auto sim_of_node = [&](sim::NodeId node) -> sim::Simulator& {
-    return sim_of(domain_of_node[node]);
-  };
-  const LinkRouter router(net);
+  World world(clamp_domains(overrides.domains,
+                            overrides.obs_sample_interval.has_value(),
+                            topo.partition_count, cut_candidates(topo)),
+              topo.partition_count, plan.seed);
+  instantiate_topology(topo, world);
+  sim::Network& net = world.net();
 
   // The probe travels between the first and last generated hosts, which
   // the generators place in different partitions (pod 0 vs the last pod /
   // AS), so the probe crosses the fabric core.
-  const sim::NodeId probe_src = built.nodes[topo.hosts.front()];
-  const sim::NodeId probe_dst = built.nodes[topo.hosts.back()];
+  const sim::NodeId probe_src = topo.hosts.front();
+  const sim::NodeId probe_dst = topo.hosts.back();
   const std::vector<std::uint32_t> probe_fwd =
-      router.route(probe_src, probe_dst);
+      net.route_links(probe_src, probe_dst);
 
   // Packetized zone: links all of whose endpoints are within
   // packetize_radius hops of a probe-path node.  radius 0 = the probed
   // path's own links (and path-to-path shortcuts); nullopt = no zone.
   std::vector<bool> in_zone(net.link_count(), false);
   if (overrides.packetize_radius) {
-    std::vector<bool> on_path(topo.nodes.size(), false);
-    for (const sim::TracerouteHop& hop : net.traceroute(probe_src, probe_dst)) {
-      on_path[hop.node] = true;  // NodeId == plan node index (add order)
+    // Hop distance from each node to the nearest probe-path node: routes
+    // are min-hop over duplex links, so a route's length is a distance.
+    std::vector<sim::NodeId> on_path{probe_src};
+    for (const std::uint32_t uid : probe_fwd) {
+      on_path.push_back(net.link_target(uid));
     }
-    const std::vector<std::size_t> dist = hops_from_path(topo, on_path);
+    std::vector<std::size_t> dist(net.node_count(), net.node_count());
+    for (sim::NodeId n = 0; n < net.node_count(); ++n) {
+      for (const sim::NodeId p : on_path) {
+        dist[n] = std::min(dist[n], net.route_links(n, p).size());
+      }
+    }
     for (std::size_t i = 0; i < net.link_count(); ++i) {
       in_zone[i] = dist[net.link_source(i)] <= *overrides.packetize_radius &&
                    dist[net.link_target(i)] <= *overrides.packetize_radius;
@@ -148,8 +72,8 @@ ScenarioResult run_topology(const ProbePlan& plan,
   }
 
   // --- Background flow population -------------------------------------
-  FluidBackground fluid = book_fluid_background(
-      background, topo, built, net, router, in_zone, sim_of_node);
+  FluidBackground fluid =
+      book_fluid_background(background, topo, world, in_zone);
 
   // Packetized background: flows touching the zone run packet-by-packet
   // as Poisson sources at their mean rate (peak * duty), so the zone sees
@@ -166,14 +90,14 @@ ScenarioResult run_topology(const ProbePlan& plan,
         Duration::seconds(packet_bits / mean_flow_bps);
     for (const auto& [src, dst] : fluid.packet_flows) {
       sources.push_back(std::make_unique<sim::PoissonSource>(
-          sim_of_node(src), net, src, dst, next_flow++,
+          world.sim_of(src), net, src, dst, next_flow++,
           sim::PacketKind::kBulk, packet_rng.split(), mean_interarrival,
           background.mean_packet));
     }
   }
 
   // NetDyn endpoints.
-  sim::EchoHost echo(sim_of_node(probe_dst), net, probe_dst);
+  sim::EchoHost echo(world.sim_of(probe_dst), net, probe_dst);
   sim::ProbeSourceConfig probe_config;
   probe_config.delta = plan.delta;
   probe_config.probe_wire = plan.probe_wire;
@@ -181,7 +105,7 @@ ScenarioResult run_topology(const ProbePlan& plan,
   if (overrides.clock_tick && *overrides.clock_tick > Duration::zero()) {
     probe_config.clock_tick = *overrides.clock_tick;
   }
-  sim::UdpEchoSource probe_source(sim_of_node(probe_src), net, probe_src,
+  sim::UdpEchoSource probe_source(world.sim_of(probe_src), net, probe_src,
                                   probe_dst, probe_config);
 
   // The probe path's slowest forward link plays the bottleneck role in
@@ -200,7 +124,7 @@ ScenarioResult run_topology(const ProbePlan& plan,
   obs::MetricsRegistry registry;
   std::optional<obs::Sampler> sampler;
   if (overrides.obs_sample_interval) {
-    sim::Simulator& simulator = sim_of(0);
+    sim::Simulator& simulator = world.kernel().simulator(0);
     sampler.emplace(simulator, *overrides.obs_sample_interval,
                     overrides.obs_series_budget);
     // Every forward hop of the probed path publishes under a stable
@@ -216,46 +140,26 @@ ScenarioResult run_topology(const ProbePlan& plan,
     obs::watch_probe_rtt_ms(*sampler, probe_source);
   }
 
-  if (psim) {
-    psim->attach(net, built.node_domain);
-  }
+  world.attach();
   for (auto& envelope : fluid.envelopes) envelope->start(Duration::zero());
   for (auto& source : sources) {
     source->start(Duration::millis(packet_rng.uniform(0.0, 100.0)));
   }
-  probe_source.start(kTopoWarmup);
-  if (sampler) sampler->start(kTopoWarmup);
+  probe_source.start(kWarmup);
+  if (sampler) sampler->start(kWarmup);
 
-  const Duration end = kTopoWarmup + plan.duration + kTopoDrain;
-  if (psim) {
-    psim->run_until(end);
-  } else {
-    seq->run_until(end);
-  }
+  const Duration end = kWarmup + plan.duration + kDrain;
+  world.run_until(end);
   if (sampler) sampler->stop();
 
-  ScenarioResult result;
-  result.trace = probe_source.trace();
-  result.route = net.traceroute(probe_src, probe_dst);
-  result.bottleneck_forward = bneck_fwd.stats();
-  result.bottleneck_reverse = bneck_rev.stats();
-  result.total_overflow_drops = net.total_overflow_drops();
-  result.total_random_drops = net.total_random_drops();
-  result.total_channel_drops = net.total_channel_drops();
-  result.hop_deliveries = net.total_delivered();
-  result.simulated = end;
-  result.events =
-      psim ? psim->events_dispatched() : seq->events_dispatched();
-  result.domains_used = domains;
-  if (sampler) {
-    result.metrics = registry.snapshot(sim_of(0).now());
-    result.series = sampler->snapshot();
-  }
+  ScenarioResult result =
+      probe_result(world, probe_source, probe_src, probe_dst, bneck_fwd,
+                   bneck_rev, end, registry, sampler);
   result.background_flows_fluid = fluid.table.size();
   result.background_flows_packetized = fluid.packet_flows.size();
   std::vector<std::uint32_t> round_trip = probe_fwd;
   const std::vector<std::uint32_t> echo_path =
-      router.route(probe_dst, probe_src);
+      net.route_links(probe_dst, probe_src);
   round_trip.insert(round_trip.end(), echo_path.begin(), echo_path.end());
   result.probe_hops.reserve(round_trip.size());
   for (const std::uint32_t uid : round_trip) {

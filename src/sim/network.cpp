@@ -84,24 +84,34 @@ void Network::set_receiver(NodeId node, Receiver receiver) {
 void Network::compute_routes() {
   // Per-destination BFS over reversed links gives minimum-hop next-hop
   // tables.  The paper's topologies are chains, but the builder supports
-  // arbitrary graphs.
+  // arbitrary graphs.  Each node's up in-links are listed once, in link
+  // order, so a BFS pop relaxes exactly the links a scan of every link
+  // would, in the same order: O(nodes x (nodes + links)) in all.
   const std::size_t n = nodes_.size();
+  std::vector<std::vector<std::uint32_t>> in_links(n);
+  for (std::size_t i = 0; i < links_.size(); ++i) {
+    if (links_[i].up) {
+      in_links[links_[i].to].push_back(static_cast<std::uint32_t>(i));
+    }
+  }
   for (auto& node : nodes_) {
     node.next_hop.assign(n, -1);
   }
+  constexpr std::uint32_t kUnreached =
+      std::numeric_limits<std::uint32_t>::max();
+  std::vector<std::uint32_t> dist(n);
+  std::deque<NodeId> frontier;
   for (NodeId dst = 0; dst < n; ++dst) {
-    std::vector<std::uint32_t> dist(n, std::numeric_limits<std::uint32_t>::max());
+    dist.assign(n, kUnreached);
     dist[dst] = 0;
-    std::deque<NodeId> frontier{dst};
+    frontier.assign({dst});
     while (!frontier.empty()) {
       const NodeId v = frontier.front();
       frontier.pop_front();
       // Relax every link u -> v: u can reach dst through v.
-      for (std::size_t i = 0; i < links_.size(); ++i) {
-        const auto& dl = links_[i];
-        if (dl.to != v || !dl.up) continue;
-        const NodeId u = dl.from;
-        if (dist[u] != std::numeric_limits<std::uint32_t>::max()) continue;
+      for (const std::uint32_t i : in_links[v]) {
+        const NodeId u = links_[i].from;
+        if (dist[u] != kUnreached) continue;
         dist[u] = dist[v] + 1;
         nodes_[u].next_hop[dst] = static_cast<std::int32_t>(i);
         frontier.push_back(u);
@@ -148,21 +158,36 @@ void Network::forward(NodeId at, Packet&& packet) {
   links_[static_cast<std::size_t>(i)].link->enqueue(std::move(packet));
 }
 
-std::vector<TracerouteHop> Network::traceroute(NodeId src, NodeId dst) const {
+std::vector<std::uint32_t> Network::route_links(NodeId src,
+                                                NodeId dst) const {
   if (!routes_valid_) {
-    throw std::logic_error("Network: compute_routes() before traceroute");
+    throw std::logic_error("Network: compute_routes() before routing queries");
   }
-  std::vector<TracerouteHop> hops;
+  if (src >= nodes_.size()) {
+    throw std::out_of_range("Network: route source out of range");
+  }
+  std::vector<std::uint32_t> uids;
   NodeId at = src;
-  hops.push_back({at, nodes_.at(at).name});
   while (at != dst) {
     const std::int32_t i = nodes_.at(at).next_hop.at(dst);
-    if (i < 0) throw std::runtime_error("Network: traceroute found no route");
+    if (i < 0) throw std::runtime_error("Network: no route");
+    uids.push_back(static_cast<std::uint32_t>(i));
     at = links_[static_cast<std::size_t>(i)].to;
-    hops.push_back({at, nodes_.at(at).name});
-    if (hops.size() > nodes_.size()) {
+    if (uids.size() >= nodes_.size()) {
       throw std::logic_error("Network: routing loop detected");
     }
+  }
+  return uids;
+}
+
+std::vector<TracerouteHop> Network::traceroute(NodeId src, NodeId dst) const {
+  const std::vector<std::uint32_t> uids = route_links(src, dst);
+  std::vector<TracerouteHop> hops;
+  hops.reserve(uids.size() + 1);
+  hops.push_back({src, nodes_[src].name});
+  for (const std::uint32_t uid : uids) {
+    const NodeId at = links_[uid].to;
+    hops.push_back({at, nodes_[at].name});
   }
   return hops;
 }

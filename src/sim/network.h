@@ -81,8 +81,14 @@ class Network {
   /// Minimum-hop path from src to dst, inclusive of both endpoints.
   std::vector<TracerouteHop> traceroute(NodeId src, NodeId dst) const;
 
+  /// The same path as the directed link uids (link_at indices) it
+  /// crosses, read straight off the routing table: the form fluid flow
+  /// routes and probe round trips take.  Empty when src == dst.
+  std::vector<std::uint32_t> route_links(NodeId src, NodeId dst) const;
+
   /// Forces (re)computation of the routing tables; otherwise computed on
-  /// first send.
+  /// first send.  Cost O(nodes x (nodes + links)): one BFS per
+  /// destination over per-node in-link lists.
   void compute_routes();
 
   /// Administratively downs/ups the directed link a->b and recomputes

@@ -63,6 +63,12 @@ void ParallelSimulation::attach(Network& net,
       throw std::invalid_argument("ParallelSimulation: domain out of range");
     }
   }
+  // One domain cuts nothing and runs no threads: nothing to wire, and the
+  // routes stay as the caller computed them (the sequential kernel).
+  if (domains_.size() == 1) {
+    attached_ = true;
+    return;
+  }
   net.compute_routes();  // freeze routing before threads exist
 
   links_by_uid_.resize(net.link_count());
@@ -142,6 +148,11 @@ void ParallelSimulation::drive(SimTime end) {
 }
 
 void ParallelSimulation::run_until(SimTime end) {
+  if (domains_.size() == 1) {
+    // The sequential kernel itself: no horizon, no batching, no donors.
+    domains_.front().sim_.run_until(end);
+    return;
+  }
   for (Domain& d : domains_) d.done_.store(false, std::memory_order_relaxed);
 
   ThreadDonor donor;

@@ -78,6 +78,8 @@ class ParallelSimulation {
   /// (one per ordered domain pair; lookahead = min propagation over the
   /// pair's links).  `node_domain[n]` is the domain owning node n.
   /// Computes routes if needed (routing is frozen once the run starts).
+  /// With one domain there is no cut: attach wires nothing and leaves the
+  /// routing tables as they are.
   /// Throws std::invalid_argument if a cut link has zero propagation
   /// delay — callers wanting those topologies must fall back to one
   /// domain (the zero-lookahead fallback, MODEL_NOTES §14).
@@ -86,7 +88,9 @@ class ParallelSimulation {
   /// Advances every domain to `end` (inclusive, like
   /// Simulator::run_until); on return all domain clocks read `end` and
   /// all cross-domain traffic due at or before `end` has been delivered.
-  /// Callable repeatedly with increasing `end` (slice stepping).
+  /// Callable repeatedly with increasing `end` (slice stepping).  One
+  /// domain runs Simulator::run_until directly, so a one-domain
+  /// ParallelSimulation is the sequential kernel, event for event.
   void run_until(SimTime end);
 
   /// Total events dispatched across all domains.  Matches the sequential

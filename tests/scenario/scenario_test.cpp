@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "nettime/clock.h"
 
@@ -183,6 +184,63 @@ TEST(UmdPittTest, MuchFasterBottleneckThanInriaUmd) {
   const double inria_spread = analysis::quantile(inria_rtts, 0.95) -
                               analysis::summarize(inria_rtts).min;
   EXPECT_LT(pitt_spread, inria_spread);
+}
+
+/// Every chain override at once.  The override pass differs per path only
+/// in its faulty hops (INRIA->UMd 6 and 7, UMd->Pitt 10, INRIA->Europe 3),
+/// so running it on all three paths pins each of them.
+ScenarioOverrides every_chain_override(std::size_t domains) {
+  ScenarioOverrides overrides;
+  overrides.bottleneck_rate = Bandwidth::kbps(512);
+  overrides.bottleneck_buffer_packets = 20;
+  sim::RedConfig red;
+  red.min_threshold = 3.0;
+  red.max_threshold = 12.0;
+  red.max_probability = Probability::checked(0.15);
+  red.weight = 0.02;
+  overrides.bottleneck_red = red;
+  overrides.faulty_interface_drop = Probability::checked(0.02);
+  overrides.clock_tick = Duration::millis(1);
+  overrides.domains = domains;
+  return overrides;
+}
+
+TEST(ChainOverridePinTest, EveryOverrideKeepsItsExactOutputs) {
+  // Exact outputs recorded before the three runners moved onto one run
+  // scaffold; any rework of the chain build or its override pass has to
+  // reproduce them.  Each domain count is pinned on its own: with RED at
+  // the bottleneck the sharded INRIA->UMd run breaks a same-nanosecond
+  // handoff-vs-local tie the other way (MODEL_NOTES §14) and so differs
+  // from the sequential one.
+  struct Pin {
+    const char* path;
+    ScenarioResult (*run)(const ProbePlan&, const ScenarioOverrides&);
+    std::size_t domains;
+    std::uint64_t events, hop_deliveries, overflow_drops, random_drops;
+    std::size_t received;
+  };
+  const Pin pins[] = {
+      {"inria_umd", run_inria_umd, 1, 97881, 44661, 138, 104, 1280},
+      {"inria_umd", run_inria_umd, 4, 97865, 44653, 138, 104, 1277},
+      {"umd_pitt", run_umd_pitt, 1, 90462, 42976, 265, 45, 1252},
+      {"umd_pitt", run_umd_pitt, 4, 90462, 42976, 265, 45, 1252},
+      {"inria_europe", run_inria_europe, 1, 69803, 30950, 277, 42, 1268},
+      {"inria_europe", run_inria_europe, 4, 69803, 30950, 277, 42, 1268},
+  };
+  ProbePlan plan = quick_plan(20, 0.5);
+  plan.seed = 4242;
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(std::string(pin.path) + ", " + std::to_string(pin.domains) +
+                 " domains");
+    const ScenarioResult result =
+        pin.run(plan, every_chain_override(pin.domains));
+    EXPECT_EQ(result.domains_used, pin.domains);
+    EXPECT_EQ(result.events, pin.events);
+    EXPECT_EQ(result.hop_deliveries, pin.hop_deliveries);
+    EXPECT_EQ(result.total_overflow_drops, pin.overflow_drops);
+    EXPECT_EQ(result.total_random_drops, pin.random_drops);
+    EXPECT_EQ(result.trace.received_count(), pin.received);
+  }
 }
 
 }  // namespace

@@ -7,6 +7,8 @@
 
 #include <cmath>
 
+#include "runner/thread_pool.h"
+
 namespace bolot::scenario {
 namespace {
 
@@ -99,6 +101,7 @@ TEST(TomographyTest, DeterministicAcrossRepeatRuns) {
 }
 
 TEST(TomographyTest, LossInferenceInvariantAcrossPdesDomainCounts) {
+  runner::shared_pool();  // donated workers: the sharded run crosses threads
   TomographySpec spec = ci_spec();
   spec.duration = Duration::seconds(10);
   const TomographyResult one = run_tomography(spec);

@@ -6,11 +6,11 @@
 #include <stdexcept>
 #include <vector>
 
+#include "runner/thread_pool.h"
 #include "scenario/scenarios.h"
 #include "scenario/tomography.h"
+#include "scenario/world.h"
 #include "sim/network.h"
-#include "sim/pdes.h"
-#include "sim/simulator.h"
 
 namespace bolot::scenario {
 namespace {
@@ -65,42 +65,87 @@ TEST(TopologyGenTest, InstantiateRejectsMoreDomainsThanPartitions) {
   // bugfix: callers must clamp against partition_count, not any route
   // length, and the instantiator refuses to paper over it.
   const TopologyPlan plan = generate_topology(TopologySpec{});  // 4 pods
-  sim::Simulator sim;
-  sim::Network net(sim, 1);
-  const auto sim_of = [&](std::size_t) -> sim::Simulator& { return sim; };
-  EXPECT_THROW(instantiate_topology(plan, net, 5, sim_of),
-               std::invalid_argument);
+  EXPECT_THROW(
+      {
+        World world(5, plan.partition_count, 1);
+        instantiate_topology(plan, world);
+      },
+      std::invalid_argument);
 }
 
 TEST(TopologyGenTest, InstantiateBuildsEveryNodeAndDuplexLink) {
   const TopologyPlan plan = generate_topology(TopologySpec{});
-  sim::Simulator sim;
-  sim::Network net(sim, 1);
-  const auto sim_of = [&](std::size_t) -> sim::Simulator& { return sim; };
-  const BuiltTopology built = instantiate_topology(plan, net, 1, sim_of);
+  World world(1, plan.partition_count, 1);
+  instantiate_topology(plan, world);
+  const sim::Network& net = world.net();
   EXPECT_EQ(net.node_count(), plan.nodes.size());
   EXPECT_EQ(net.link_count(), 2 * plan.edges.size());
-  EXPECT_EQ(built.nodes.size(), plan.nodes.size());
-  EXPECT_EQ(built.node_domain.size(), plan.nodes.size());
-  for (const std::size_t domain : built.node_domain) {
-    EXPECT_EQ(domain, 0u);
+  for (sim::NodeId node = 0; node < net.node_count(); ++node) {
+    EXPECT_EQ(world.domain_of(node), 0u);
   }
 }
 
 TEST(TopologyGenTest, PartitionHintsSplitEvenlyAcrossDomains) {
   const TopologyPlan plan = generate_topology(TopologySpec{});  // 4 pods
-  sim::ParallelSimulation psim(2);
-  sim::Network net(psim.simulator(0), 1);
-  const auto sim_of = [&](std::size_t d) -> sim::Simulator& {
-    return psim.simulator(d);
-  };
-  const BuiltTopology built = instantiate_topology(plan, net, 2, sim_of);
+  World world(2, plan.partition_count, 1);
+  instantiate_topology(plan, world);
   std::vector<std::size_t> population(2, 0);
-  for (const std::size_t domain : built.node_domain) {
+  for (sim::NodeId node = 0; node < world.net().node_count(); ++node) {
+    const std::size_t domain = world.domain_of(node);
     ASSERT_LT(domain, 2u);
     ++population[domain];
   }
   EXPECT_EQ(population[0], population[1]);  // pods 0+1 vs pods 2+3
+}
+
+TEST(TopologyGenTest, RouteLinksWalkTracerouteOnEveryHostPair) {
+  // Link-uid routes read straight off the routing table must cross
+  // exactly the traceroute path, for every ordered host pair, before and
+  // after a link on the probed route goes down.  The digest over all
+  // routes was recorded from the earlier router, which mapped traceroute
+  // hops back to link uids through a (source, target) -> uid map.
+  std::uint64_t digest = 0xcbf29ce484222325ULL;  // FNV-1a
+  const auto mix = [&digest](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      digest ^= (v >> (8 * i)) & 0xFF;
+      digest *= 0x100000001b3ULL;
+    }
+  };
+  for (const auto family :
+       {TopologySpec::Family::kFatTree, TopologySpec::Family::kAsHierarchy}) {
+    TopologySpec spec;
+    spec.family = family;
+    spec.fat_tree_k = 4;
+    spec.core_count = 4;
+    const TopologyPlan plan = generate_topology(spec);
+    World world(1, plan.partition_count, 1);
+    instantiate_topology(plan, world);
+    sim::Network& net = world.net();
+    for (const bool link_down : {false, true}) {
+      SCOPED_TRACE(link_down ? "one link down" : "all links up");
+      if (link_down) {
+        const std::vector<std::uint32_t> probed =
+            net.route_links(plan.hosts.front(), plan.hosts.back());
+        const std::uint32_t down = probed[probed.size() / 2];
+        net.set_link_down(net.link_source(down), net.link_target(down));
+      }
+      for (const sim::NodeId a : plan.hosts) {
+        for (const sim::NodeId b : plan.hosts) {
+          if (a == b) continue;
+          const std::vector<std::uint32_t> uids = net.route_links(a, b);
+          const std::vector<sim::TracerouteHop> hops = net.traceroute(a, b);
+          ASSERT_EQ(hops.size(), uids.size() + 1);
+          for (std::size_t i = 0; i < uids.size(); ++i) {
+            EXPECT_EQ(net.link_source(uids[i]), hops[i].node);
+            EXPECT_EQ(net.link_target(uids[i]), hops[i + 1].node);
+          }
+          mix(uids.size());
+          for (const std::uint32_t uid : uids) mix(uid);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(digest, 0x79a250c012b45f25ULL);
 }
 
 ScenarioResult run_small_fabric(std::size_t domains,
@@ -137,7 +182,9 @@ TEST(RunTopologyTest, DomainsClampAgainstPartitionHints) {
 TEST(RunTopologyTest, EventStreamIsInvariantAcrossDomainCounts) {
   // The hybrid engine rides the PDES contract: fluid trajectories are
   // seed-replicated per link, so the probe trace and the event count must
-  // not depend on how the fabric is sharded.
+  // not depend on how the fabric is sharded.  The shared pool donates
+  // worker threads, so the sharded runs really cross threads.
+  runner::shared_pool();
   const ScenarioResult sequential = run_small_fabric(1, 1);
   ASSERT_GT(sequential.trace.received_count(), 0u);
   EXPECT_GT(sequential.background_flows_fluid, 0u);
@@ -157,6 +204,64 @@ TEST(RunTopologyTest, EventStreamIsInvariantAcrossDomainCounts) {
     EXPECT_EQ(sharded.hop_deliveries, sequential.hop_deliveries);
     EXPECT_EQ(sharded.background_flows_fluid,
               sequential.background_flows_fluid);
+  }
+}
+
+TEST(DomainClampTest, ZeroCoreLookaheadRunsBothFabricRunnersOnOneDomain) {
+  // Hosts hang off links that are never cut, so only a zero core
+  // propagation puts a zero-lookahead edge across the partition.  The one
+  // domain clamp must then fall back to one domain in both generated-
+  // fabric runners, exactly as if one domain had been asked for.
+  ProbePlan plan;
+  plan.delta = Duration::millis(40);
+  plan.duration = Duration::seconds(2);
+  plan.seed = 424242;
+  ScenarioOverrides overrides;
+  TopologySpec fabric;
+  fabric.core_propagation = Duration::zero();
+  fabric.seed = 11;
+  overrides.topology = fabric;
+  FluidBackgroundConfig background;
+  background.flows = 300;
+  overrides.fluid_background = background;
+  overrides.packetize_radius = 1;
+  const ScenarioResult one = run_topology(plan, overrides);
+  overrides.domains = 4;
+  const ScenarioResult four = run_topology(plan, overrides);
+  EXPECT_EQ(one.domains_used, 1u);
+  EXPECT_EQ(four.domains_used, 1u);
+  EXPECT_GT(one.trace.received_count(), 0u);
+  EXPECT_EQ(four.events, one.events);
+  EXPECT_EQ(four.hop_deliveries, one.hop_deliveries);
+  EXPECT_EQ(four.background_flows_packetized, one.background_flows_packetized);
+  ASSERT_EQ(four.trace.records.size(), one.trace.records.size());
+  for (std::size_t i = 0; i < one.trace.records.size(); ++i) {
+    EXPECT_EQ(four.trace.records[i].rtt, one.trace.records[i].rtt);
+    EXPECT_EQ(four.trace.records[i].received, one.trace.records[i].received);
+  }
+
+  TomographySpec mesh;
+  mesh.topology.family = TopologySpec::Family::kAsHierarchy;
+  mesh.topology.core_count = 4;
+  mesh.topology.stubs_per_core = 1;
+  mesh.topology.hosts_per_stub = 1;
+  mesh.topology.core_propagation = Duration::zero();
+  mesh.duration = Duration::seconds(2);
+  const TomographyResult mesh_one = run_tomography(mesh);
+  mesh.domains = 4;
+  const TomographyResult mesh_four = run_tomography(mesh);
+  EXPECT_EQ(mesh_one.domains_used, 1u);
+  EXPECT_EQ(mesh_four.domains_used, 1u);
+  EXPECT_TRUE(mesh_four.delay_truth_collected);
+  EXPECT_EQ(mesh_four.events, mesh_one.events);
+  EXPECT_EQ(mesh_four.loss_error, mesh_one.loss_error);
+  EXPECT_EQ(mesh_four.delay_error, mesh_one.delay_error);
+  ASSERT_EQ(mesh_four.streams, mesh_one.streams);
+  for (std::size_t s = 0; s < mesh_one.streams; ++s) {
+    EXPECT_EQ(mesh_four.stream_summaries[s].received,
+              mesh_one.stream_summaries[s].received);
+    EXPECT_EQ(mesh_four.stream_summaries[s].mean_rtt_ms,
+              mesh_one.stream_summaries[s].mean_rtt_ms);
   }
 }
 

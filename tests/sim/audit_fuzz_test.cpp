@@ -37,6 +37,7 @@
 
 #include "runner/thread_pool.h"
 #include "scenario/topology_gen.h"
+#include "scenario/world.h"
 #include "sim/channel.h"
 #include "sim/fluid.h"
 #include "sim/network.h"
@@ -417,24 +418,10 @@ FuzzOutcome run_generated_fabric(std::uint64_t seed, std::size_t domains) {
   spec.hosts_per_stub = 1;
   const scenario::TopologyPlan plan = scenario::generate_topology(spec);
 
-  std::optional<ParallelSimulation> psim;
-  std::optional<Simulator> seq;
-  if (domains > 1) {
-    psim.emplace(domains);
-  } else {
-    seq.emplace();
-  }
-  const auto sim_of = [&](std::size_t d) -> Simulator& {
-    return psim ? psim->simulator(d) : *seq;
-  };
-  Network net(sim_of(0), seed ^ 0x9E3779B97F4A7C15ULL);
-  const scenario::BuiltTopology built = scenario::instantiate_topology(
-      plan, net, domains > 1 ? domains : 1, sim_of);
-  net.compute_routes();
-  std::vector<std::size_t> domain_of_node(net.node_count(), 0);
-  for (std::size_t i = 0; i < built.nodes.size(); ++i) {
-    domain_of_node[built.nodes[i]] = built.node_domain[i];
-  }
+  scenario::World world(domains > 1 ? domains : 1, plan.partition_count,
+                        seed ^ 0x9E3779B97F4A7C15ULL);
+  scenario::instantiate_topology(plan, world);
+  Network& net = world.net();
 
   // Fluid on every third link: half constant base demand, half an
   // envelope-modulated demand (the only event source a fluid link has),
@@ -444,7 +431,7 @@ FuzzOutcome run_generated_fabric(std::uint64_t seed, std::size_t domains) {
   std::vector<Link*> fluid_links;
   for (std::size_t uid = 0; uid < net.link_count(); uid += 3) {
     Link& link = net.link_at(uid);
-    Simulator& link_sim = sim_of(domain_of_node[net.link_source(uid)]);
+    Simulator& link_sim = world.sim_of(net.link_source(uid));
     FluidAggregateConfig config;
     config.capacity = Bandwidth::bps(link.config().rate.bps());
     config.queue_model = uid % 2 == 0 ? FluidQueueModel::kResidualRate
@@ -466,20 +453,20 @@ FuzzOutcome run_generated_fabric(std::uint64_t seed, std::size_t domains) {
     }
   }
 
-  const NodeId probe_src = built.nodes[plan.hosts.front()];
-  const NodeId probe_dst = built.nodes[plan.hosts.back()];
+  const NodeId probe_src = plan.hosts.front();
+  const NodeId probe_dst = plan.hosts.back();
   ProbeSourceConfig probe_cfg;
   probe_cfg.delta = Duration::millis(15);
   probe_cfg.probe_count = 120;
-  UdpEchoSource probe(sim_of(domain_of_node[probe_src]), net, probe_src,
-                      probe_dst, probe_cfg);
-  EchoHost echo(sim_of(domain_of_node[probe_dst]), net, probe_dst);
+  UdpEchoSource probe(world.sim_of(probe_src), net, probe_src, probe_dst,
+                      probe_cfg);
+  EchoHost echo(world.sim_of(probe_dst), net, probe_dst);
   Rng cross_rng(derive_stream_seed(seed, 0xC0));
-  PoissonSource cross(sim_of(domain_of_node[probe_dst]), net, probe_dst,
+  PoissonSource cross(world.sim_of(probe_dst), net, probe_dst,
                       probe_src, /*flow=*/31, PacketKind::kBulk,
                       cross_rng.split(), Duration::millis(5), ByteSize::bytes(512));
 
-  if (psim) psim->attach(net, built.node_domain);
+  world.attach();
   for (auto& envelope : envelopes) envelope->start(Duration::zero());
   probe.start(Duration::millis(1));
   cross.start(Duration::millis(2));
@@ -487,18 +474,13 @@ FuzzOutcome run_generated_fabric(std::uint64_t seed, std::size_t domains) {
   const Duration kSlice = Duration::millis(250);
   const Duration kEnd = Duration::seconds(2);
   for (Duration t = kSlice; t <= kEnd; t += kSlice) {
-    if (psim) {
-      psim->run_until(t);
-      psim->audit_verify();
-    } else {
-      seq->run_until(t);
-      seq->audit_verify();
-    }
+    world.run_until(t);
+    world.kernel().audit_verify();
     for (const Link* link : fluid_links) link->audit_verify();
   }
 
   FuzzOutcome outcome;
-  outcome.events = psim ? psim->events_dispatched() : seq->events_dispatched();
+  outcome.events = world.events();
   outcome.probes_received = probe.received_count();
   Digest digest;
   const analysis::ProbeTrace trace = probe.trace();
