@@ -5,7 +5,9 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <thread>
 
 #include "netdyn/udp_socket.h"
@@ -29,15 +31,22 @@ class EchoServer {
   /// true if a probe was echoed.  Non-probe datagrams are dropped.
   bool poll_once(Duration timeout);
 
-  /// Starts a background echo loop; stopped by the destructor or stop().
+  /// Starts a background echo loop, which waits on the socket and echoes
+  /// every datagram queued when it wakes; stopped by the destructor or
+  /// stop(), which wakes the loop instead of waiting out its timeout.
   void start();
   void stop();
 
   std::uint64_t echoed_count() const { return echoed_.load(); }
 
  private:
+  /// Stamps the datagram held in `buffer` and sends it back to its sender
+  /// if it is a probe; returns whether it was.
+  bool echo(std::span<std::byte> buffer, const UdpSocket::Received& received);
+
   UdpSocket socket_;
   const Clock& clock_;
+  WakeEvent wake_;
   std::atomic<bool> running_{false};
   std::atomic<std::uint64_t> echoed_{0};
   std::thread worker_;

@@ -10,6 +10,8 @@ namespace bolot::netdyn {
 
 namespace {
 constexpr std::size_t kMaxDatagram = 2048;
+// Only a backstop when nothing is in flight: stop() wakes the wait.
+constexpr Duration kIdleWait = Duration::seconds(1);
 }  // namespace
 
 PathEmulator::PathEmulator(std::uint16_t listen_port,
@@ -33,11 +35,13 @@ std::uint16_t PathEmulator::port() const { return client_side_.local_port(); }
 
 void PathEmulator::start() {
   if (running_.exchange(true)) return;
+  wake_.clear();
   thread_ = std::thread([this] { worker(); });
 }
 
 void PathEmulator::stop() {
   if (!running_.exchange(false)) return;
+  wake_.notify();
   if (thread_.joinable()) thread_.join();
 }
 
@@ -49,8 +53,8 @@ PathEmulatorStats PathEmulator::stats() const {
   return out;
 }
 
-void PathEmulator::admit(bool to_target, std::vector<std::byte> payload,
-                         Duration now) {
+void PathEmulator::admit(Direction& direction,
+                         std::span<const std::byte> datagram, Duration now) {
   if (!config_.loss_probability.is_zero() &&
       rng_.chance(config_.loss_probability.value())) {
     random_drops_.fetch_add(1, std::memory_order_relaxed);
@@ -58,10 +62,9 @@ void PathEmulator::admit(bool to_target, std::vector<std::byte> payload,
   }
   Duration depart = now;
   if (config_.rate.is_positive()) {
-    Duration& busy_until = busy_until_[to_target ? 0 : 1];
     const Duration service = transmission_time(
-        static_cast<std::int64_t>(payload.size()) * 8, config_.rate.bps());
-    const Duration start = std::max(now, busy_until);
+        static_cast<std::int64_t>(datagram.size()) * 8, config_.rate.bps());
+    const Duration start = std::max(now, direction.busy_until);
     // Drop-tail: the backlog ahead of this packet, in packets, is the
     // queued service time over this packet's service time.
     const double backlog_packets = (start - now) / service;
@@ -69,25 +72,36 @@ void PathEmulator::admit(bool to_target, std::vector<std::byte> payload,
       overflow_drops_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
-    busy_until = start + service;
-    depart = busy_until;
+    direction.busy_until = start + service;
+    depart = direction.busy_until;
   }
-  heap_.push(Pending{depart + config_.one_way_delay, next_seq_++, to_target,
-                     std::move(payload)});
+  direction.in_flight.push_back(
+      Pending{depart + config_.one_way_delay,
+              std::vector<std::byte>(datagram.begin(), datagram.end())});
 }
 
 void PathEmulator::flush_due(Duration now) {
-  while (!heap_.empty() && heap_.top().due <= now) {
-    const Pending& pending = heap_.top();
-    if (pending.to_target) {
-      upstream_side_.send_to(pending.payload, config_.target);
-      forwarded_.fetch_add(1, std::memory_order_relaxed);
-    } else if (last_client_) {
-      client_side_.send_to(pending.payload, *last_client_);
-      forwarded_.fetch_add(1, std::memory_order_relaxed);
-    }
-    heap_.pop();
+  auto& ahead = to_target_.in_flight;
+  for (; !ahead.empty() && ahead.front().due <= now; ahead.pop_front()) {
+    upstream_side_.send_to(ahead.front().payload, config_.target);
+    forwarded_.fetch_add(1, std::memory_order_relaxed);
   }
+  auto& back = to_client_.in_flight;
+  for (; !back.empty() && back.front().due <= now; back.pop_front()) {
+    if (!last_client_) continue;
+    client_side_.send_to(back.front().payload, *last_client_);
+    forwarded_.fetch_add(1, std::memory_order_relaxed);
+  }
+}
+
+Duration PathEmulator::wait_budget(Duration now) const {
+  Duration budget = kIdleWait;
+  for (const Direction* direction : {&to_target_, &to_client_}) {
+    if (!direction->in_flight.empty()) {
+      budget = std::min(budget, direction->in_flight.front().due - now);
+    }
+  }
+  return budget;
 }
 
 void PathEmulator::worker() {
@@ -96,25 +110,14 @@ void PathEmulator::worker() {
   while (running_.load(std::memory_order_relaxed)) {
     const Duration now = clock.now();
     flush_due(now);
-    Duration timeout = Duration::millis(20);
-    if (!heap_.empty()) {
-      timeout = std::clamp(heap_.top().due - now, Duration::zero(), timeout);
+    wait_readable({client_side_.fd(), upstream_side_.fd(), wake_.fd()},
+                  wait_budget(now));
+    while (const auto received = client_side_.try_receive(buffer)) {
+      last_client_ = received->from;
+      admit(to_target_, std::span(buffer.data(), received->size), clock.now());
     }
-    // Alternate polls across the two sockets within the timeout budget.
-    const auto from_client = client_side_.receive(buffer, timeout / 2);
-    if (from_client) {
-      last_client_ = from_client->from;
-      admit(/*to_target=*/true,
-            std::vector<std::byte>(buffer.begin(),
-                                   buffer.begin() + from_client->size),
-            clock.now());
-    }
-    const auto from_target = upstream_side_.receive(buffer, timeout / 2);
-    if (from_target) {
-      admit(/*to_target=*/false,
-            std::vector<std::byte>(buffer.begin(),
-                                   buffer.begin() + from_target->size),
-            clock.now());
+    while (const auto received = upstream_side_.try_receive(buffer)) {
+      admit(to_client_, std::span(buffer.data(), received->size), clock.now());
     }
   }
 }

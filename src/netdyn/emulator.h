@@ -16,12 +16,23 @@
 //
 // Single-flow by design (like the experiment): replies go to the last
 // client seen.  Both directions get their own rate limiter and queue.
+//
+// Timing: one worker thread waits once, at nanosecond precision, over both
+// sockets and a stop wake-up, timed to the earliest due datagram.  Each
+// wake drains every datagram queued on either socket, stamping its arrival
+// as it is read, then sends what has come due.  A datagram's due time is
+// its departure from the direction's virtual transmitter plus the one-way
+// delay; arrivals come from the monotonic clock and the transmitter's
+// busy-until time only grows, so due times within one direction never
+// decrease and each direction's queue is a plain FIFO.
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <optional>
-#include <queue>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -67,33 +78,34 @@ class PathEmulator {
  private:
   struct Pending {
     Duration due;
-    std::uint64_t seq;  // FIFO tie-break
-    bool to_target;
     std::vector<std::byte> payload;
-    bool operator>(const Pending& other) const {
-      if (due != other.due) return due > other.due;
-      return seq > other.seq;
-    }
+  };
+
+  /// One direction of the path: its virtual transmitter and the datagrams
+  /// in flight on it, in due order.
+  struct Direction {
+    Duration busy_until;
+    std::deque<Pending> in_flight;
   };
 
   void worker();
-  /// Applies loss/rate/delay and queues the datagram; direction state is
-  /// chosen by `to_target`.
-  void admit(bool to_target, std::vector<std::byte> payload, Duration now);
+  /// Applies loss/rate/delay to a datagram that arrived at `now` and
+  /// queues it on `direction`.
+  void admit(Direction& direction, std::span<const std::byte> datagram,
+             Duration now);
   void flush_due(Duration now);
+  /// How long the worker may wait: until the earliest due datagram.
+  Duration wait_budget(Duration now) const;
 
   PathEmulatorConfig config_;
   UdpSocket client_side_;   // clients talk to this
   UdpSocket upstream_side_; // we talk to the target from this
+  WakeEvent wake_;
   std::optional<Endpoint> last_client_;
   Rng rng_;
 
-  // Per-direction virtual transmitter state (wall-clock Durations from the
-  // monotonic clock).
-  Duration busy_until_[2];
-
-  std::priority_queue<Pending, std::vector<Pending>, std::greater<>> heap_;
-  std::uint64_t next_seq_ = 0;
+  Direction to_target_;
+  Direction to_client_;
 
   std::atomic<bool> running_{false};
   std::thread thread_;

@@ -19,19 +19,20 @@ Prober::Prober(const Clock& clock, ProberConfig config)
   trace_.probe_wire_bytes = static_cast<std::int64_t>(kProbePacketSize) + 40;
 }
 
-void Prober::handle_datagram() {
+void Prober::record_echo(std::span<const std::byte> datagram) {
+  const auto msg = decode_probe(datagram);
+  if (!msg || msg->seq >= trace_.records.size()) return;
+  auto& record = trace_.records[msg->seq];
+  if (record.received) return;
+  record.received = true;
+  record.rtt = clock_.now() - record.send_time;
+  record.echo_time = msg->echo_ts;
+}
+
+void Prober::drain_ready() {
   std::array<std::byte, kProbePacketSize> buffer{};
-  // Zero timeout: drain whatever is already queued.
-  while (auto received = socket_.receive(buffer, Duration::zero())) {
-    if (received->size != kProbePacketSize) continue;
-    const auto msg = decode_probe(buffer);
-    if (!msg) continue;
-    if (msg->seq >= trace_.records.size()) continue;  // stray/duplicate
-    auto& record = trace_.records[msg->seq];
-    if (record.received) continue;  // duplicate echo
-    record.received = true;
-    record.rtt = clock_.now() - record.send_time;
-    record.echo_time = msg->echo_ts;
+  while (const auto received = socket_.try_receive(buffer)) {
+    record_echo(std::span(buffer.data(), received->size));
   }
 }
 
@@ -42,14 +43,7 @@ void Prober::receive_until(SimTime deadline) {
     if (remaining <= Duration::zero()) return;
     const auto received = socket_.receive(buffer, remaining);
     if (!received) return;  // timed out: deadline reached
-    if (received->size != kProbePacketSize) continue;
-    const auto msg = decode_probe(buffer);
-    if (!msg || msg->seq >= trace_.records.size()) continue;
-    auto& record = trace_.records[msg->seq];
-    if (record.received) continue;
-    record.received = true;
-    record.rtt = clock_.now() - record.send_time;
-    record.echo_time = msg->echo_ts;
+    record_echo(std::span(buffer.data(), received->size));
   }
 }
 
@@ -73,7 +67,7 @@ analysis::ProbeTrace Prober::run(const Endpoint& echo_host) {
     msg.source_ts = record.send_time;
     const auto datagram = encode_probe(msg);
     socket_.send_to(datagram, echo_host);
-    handle_datagram();
+    drain_ready();
   }
   receive_until(clock_.now() + config_.drain);
   return trace_;

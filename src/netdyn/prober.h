@@ -6,7 +6,9 @@
 // synchronization is needed; only round-trip times are derived.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 
 #include "analysis/probe_trace.h"
 #include "netdyn/udp_socket.h"
@@ -33,8 +35,13 @@ class Prober {
   analysis::ProbeTrace run(const Endpoint& echo_host);
 
  private:
+  /// Collects echoes until `deadline`.
   void receive_until(SimTime deadline);
-  void handle_datagram();
+  /// Collects the echoes already queued, without waiting.
+  void drain_ready();
+  /// Records one received datagram against its probe; strays (not a
+  /// probe, unknown sequence number) and duplicate echoes are ignored.
+  void record_echo(std::span<const std::byte> datagram);
 
   const Clock& clock_;
   ProberConfig config_;

@@ -3,14 +3,20 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <array>
 #include <cerrno>
 #include <cstring>
+#include <ctime>
 #include <stdexcept>
 #include <system_error>
 #include <utility>
+
+#include "nettime/clock.h"
 
 namespace bolot::netdyn {
 
@@ -35,7 +41,33 @@ Endpoint from_sockaddr(const sockaddr_in& sa) {
   return ep;
 }
 
+/// ppoll() on `fds` until one is readable or the monotonic clock passes
+/// `deadline`; an interrupted wait resumes with the time left.
+bool wait_until(std::initializer_list<int> fds, Duration deadline) {
+  std::array<pollfd, 4> pfds{};
+  if (fds.size() > pfds.size()) {
+    throw std::invalid_argument("wait_readable: too many descriptors");
+  }
+  std::size_t count = 0;
+  for (const int fd : fds) pfds[count++] = pollfd{fd, POLLIN, 0};
+  const SystemClock clock;
+  for (;;) {
+    const std::int64_t left =
+        std::max<std::int64_t>((deadline - clock.now()).count_nanos(), 0);
+    const timespec timeout{static_cast<std::time_t>(left / 1'000'000'000),
+                           static_cast<long>(left % 1'000'000'000)};
+    const int rc = ::ppoll(pfds.data(), count, &timeout, nullptr);
+    if (rc > 0) return true;
+    if (rc == 0) return false;
+    if (errno != EINTR) throw_errno("ppoll");
+  }
+}
+
 }  // namespace
+
+bool wait_readable(std::initializer_list<int> fds, Duration timeout) {
+  return wait_until(fds, SystemClock().now() + timeout);
+}
 
 std::string Endpoint::to_string() const {
   char buf[INET_ADDRSTRLEN] = {};
@@ -115,24 +147,45 @@ void UdpSocket::send_to(std::span<const std::byte> payload,
 
 std::optional<UdpSocket::Received> UdpSocket::receive(
     std::span<std::byte> buffer, Duration timeout) {
-  pollfd pfd{fd_, POLLIN, 0};
-  const int timeout_ms =
-      timeout.is_negative()
-          ? 0
-          : static_cast<int>((timeout.count_nanos() + 999'999) / 1'000'000);
-  int rc;
-  do {
-    rc = ::poll(&pfd, 1, timeout_ms);
-  } while (rc < 0 && errno == EINTR);
-  if (rc < 0) throw_errno("poll");
-  if (rc == 0) return std::nullopt;
+  const Duration deadline = SystemClock().now() + timeout;
+  // A readable socket can still come up empty (a datagram failing its
+  // checksum is dropped at read), so wait again for the time left.
+  while (wait_until({fd_}, deadline)) {
+    if (auto received = try_receive(buffer)) return received;
+  }
+  return std::nullopt;
+}
 
-  sockaddr_in sa{};
-  socklen_t len = sizeof sa;
-  const ssize_t n = ::recvfrom(fd_, buffer.data(), buffer.size(), 0,
-                               reinterpret_cast<sockaddr*>(&sa), &len);
-  if (n < 0) throw_errno("recvfrom");
-  return Received{static_cast<std::size_t>(n), from_sockaddr(sa)};
+std::optional<UdpSocket::Received> UdpSocket::try_receive(
+    std::span<std::byte> buffer) {
+  for (;;) {
+    sockaddr_in sa{};
+    socklen_t len = sizeof sa;
+    const ssize_t n =
+        ::recvfrom(fd_, buffer.data(), buffer.size(), MSG_DONTWAIT,
+                   reinterpret_cast<sockaddr*>(&sa), &len);
+    if (n >= 0) return Received{static_cast<std::size_t>(n), from_sockaddr(sa)};
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return std::nullopt;
+    if (errno != EINTR) throw_errno("recvfrom");
+  }
+}
+
+WakeEvent::WakeEvent() : fd_(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)) {
+  if (fd_ < 0) throw_errno("eventfd");
+}
+
+WakeEvent::~WakeEvent() { ::close(fd_); }
+
+// Neither call can fail on a valid eventfd but with EAGAIN, which means
+// the counter is already saturated (notify) or already zero (clear).
+void WakeEvent::notify() noexcept {
+  const std::uint64_t one = 1;
+  [[maybe_unused]] const ssize_t rc = ::write(fd_, &one, sizeof one);
+}
+
+void WakeEvent::clear() noexcept {
+  std::uint64_t count = 0;
+  [[maybe_unused]] const ssize_t rc = ::read(fd_, &count, sizeof count);
 }
 
 }  // namespace bolot::netdyn

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <chrono>
 #include <cstring>
+#include <thread>
 
 namespace bolot::netdyn {
 namespace {
@@ -71,6 +73,48 @@ TEST(UdpSocketTest, MoveTransfersOwnership) {
 TEST(UdpSocketTest, BindingSamePortTwiceFails) {
   UdpSocket first(0);
   EXPECT_THROW(UdpSocket second(first.local_port()), std::system_error);
+}
+
+TEST(UdpSocketTest, TryReceiveReturnsAtOnceWhenQuiet) {
+  UdpSocket socket(0);
+  std::array<std::byte, 64> buffer{};
+  EXPECT_FALSE(socket.try_receive(buffer).has_value());
+}
+
+TEST(UdpSocketTest, WaitReadableThenTryReceiveDrainsEveryDatagram) {
+  UdpSocket sender(0);
+  UdpSocket receiver(0);
+  const char payload[] = "probe";
+  for (int i = 0; i < 3; ++i) {
+    sender.send_to(std::as_bytes(std::span(payload, sizeof payload)),
+                   loopback(receiver.local_port()));
+  }
+  std::array<std::byte, 64> buffer{};
+  int drained = 0;
+  while (drained < 3 &&
+         wait_readable({receiver.fd()}, Duration::seconds(2))) {
+    while (const auto received = receiver.try_receive(buffer)) {
+      EXPECT_EQ(received->size, sizeof payload);
+      ++drained;
+    }
+  }
+  EXPECT_EQ(drained, 3);
+  EXPECT_FALSE(wait_readable({receiver.fd()}, Duration::zero()));
+}
+
+TEST(WakeEventTest, NotifyEndsAWaitAndClearRearms) {
+  UdpSocket quiet(0);
+  WakeEvent wake;
+  std::thread notifier([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    wake.notify();
+  });
+  EXPECT_TRUE(wait_readable({quiet.fd(), wake.fd()}, Duration::seconds(10)));
+  notifier.join();
+  // Stays readable until cleared.
+  EXPECT_TRUE(wait_readable({quiet.fd(), wake.fd()}, Duration::zero()));
+  wake.clear();
+  EXPECT_FALSE(wait_readable({quiet.fd(), wake.fd()}, Duration::millis(1)));
 }
 
 }  // namespace
