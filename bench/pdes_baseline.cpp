@@ -14,9 +14,14 @@
 // The d=1 rows run the plain sequential kernel (no channels, no atomics)
 // so the table prices both the sharding overhead (d=1 vs sequential is
 // covered by tests asserting identical streams; here domains=1 IS the
-// sequential kernel) and the scaling (d=2/4/8 vs d=1).  The digest-level
-// equality of the event streams across all four rows is asserted by
-// tests/sim/pdes_test.cpp and the audit fuzz — this harness only times.
+// sequential kernel) and the scaling (d=2/4/8 vs d=1).  Every d>1 row runs
+// twice: once with the process-wide pool donating workers, and once — the
+// `_w1` rows — with no donor, the calling thread driving every domain.
+// d=1 against `_w1` is the structural gain of sharding (smaller heaps,
+// batched domains); `_w1` against the pooled row is the parallel gain.
+// The digest-level equality of the event streams across all rows is
+// asserted by tests/sim/pdes_test.cpp and the audit fuzz — this harness
+// only times.
 //
 // Emits BENCH_pdes.{json,csv} (runner/sweep_io convention) into --out
 // DIR, defaulting to the current directory.  CI runs it on every push
@@ -26,9 +31,11 @@
 // correctly via cooperative driving on the calling thread).
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <iostream>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "runner/sweep.h"
@@ -54,6 +61,7 @@ struct PdesResult {
   std::uint64_t hop_deliveries = 0;
   std::uint64_t events = 0;
   double wall_seconds = 0.0;
+  sim::DomainStats kernel;  // summed over domains (zero for d=1)
 };
 
 /// Shared harness: builds the 8-hop duplex chain on `domains` domains
@@ -113,6 +121,14 @@ PdesResult run_sharded(std::size_t domains, Duration span, AddFlows add_flows) {
       std::chrono::duration<double>(Clock::now() - start).count();
   result.hop_deliveries = net.total_delivered();
   result.events = psim ? psim->events_dispatched() : seq->events_dispatched();
+  if (psim) {
+    for (const sim::DomainStats& d : psim->domain_stats()) {
+      result.kernel.handoffs += d.handoffs;
+      result.kernel.advances += d.advances;
+      result.kernel.empty_advances += d.empty_advances;
+      result.kernel.stolen_advances += d.stolen_advances;
+    }
+  }
   return result;
 }
 
@@ -163,6 +179,12 @@ std::vector<runner::Metric> to_metrics(const PdesResult& r) {
   metrics.push_back({"hop_deliveries", hops});
   metrics.push_back({"events", static_cast<double>(r.events)});
   metrics.push_back({"kernel_wall_seconds", r.wall_seconds});
+  metrics.push_back({"handoffs", static_cast<double>(r.kernel.handoffs)});
+  metrics.push_back({"advances", static_cast<double>(r.kernel.advances)});
+  metrics.push_back(
+      {"empty_advances", static_cast<double>(r.kernel.empty_advances)});
+  metrics.push_back(
+      {"stolen_advances", static_cast<double>(r.kernel.stolen_advances)});
   if (r.wall_seconds > 0.0) {
     metrics.push_back({"packets_per_sec", hops / r.wall_seconds});
   }
@@ -181,19 +203,27 @@ int main(int argc, char** argv) {
   }
   if (cli.out_dir.empty()) cli.out_dir = ".";
 
-  // Install the thread donor so d>1 rows borrow the process-wide workers
-  // (on a 1-core host the pool has one worker and the calling thread
-  // still cooperatively drives every domain — correct, just not faster).
-  runner::shared_pool();
+  // Pooled rows borrow the process-wide workers (on a 1-core host the
+  // pool has one worker and the calling thread still cooperatively drives
+  // every domain — correct, just not faster); `_w1` rows run with no
+  // donor at all.
+  const sim::ParallelSimulation::ThreadDonor pool_donor =
+      [](std::function<void()> job) {
+        runner::shared_pool().submit(std::move(job));
+      };
 
   const std::size_t kDomainSweep[] = {1, 2, 4, 8};
   std::vector<runner::RunSpec> specs;
   for (const char* topo : {"chain", "parking_lot"}) {
     for (std::size_t domains : kDomainSweep) {
-      runner::RunSpec spec;
-      spec.label = std::string(topo) + "_d" + std::to_string(domains);
-      spec.params.push_back({"domains", static_cast<double>(domains)});
-      specs.push_back(std::move(spec));
+      for (const char* suffix : {"", "_w1"}) {
+        if (domains == 1 && *suffix != '\0') continue;  // no donor to drop
+        runner::RunSpec spec;
+        spec.label =
+            std::string(topo) + "_d" + std::to_string(domains) + suffix;
+        spec.params.push_back({"domains", static_cast<double>(domains)});
+        specs.push_back(std::move(spec));
+      }
     }
   }
 
@@ -207,7 +237,11 @@ int main(int argc, char** argv) {
       [&](const runner::RunContext& ctx) {
         const std::size_t domains =
             static_cast<std::size_t>(ctx.spec->param("domains"));
-        if (ctx.spec->label.rfind("chain", 0) == 0) {
+        const std::string& label = ctx.spec->label;
+        const bool pooled = !label.ends_with("_w1");
+        sim::ParallelSimulation::set_thread_donor(pooled ? pool_donor
+                                                         : nullptr);
+        if (label.rfind("chain", 0) == 0) {
           return to_metrics(run_chain(domains));
         }
         return to_metrics(run_parking_lot(domains));
@@ -215,7 +249,8 @@ int main(int argc, char** argv) {
       options);
 
   TextTable table;
-  table.row({"kernel", "domains", "hop deliveries", "packets/sec", "wall(s)"});
+  table.row({"kernel", "domains", "hop deliveries", "packets/sec", "wall(s)",
+             "advances", "empty", "stolen"});
   for (const runner::RunResult& run : sweep.runs) {
     if (run.failed) {
       std::cerr << run.label << ": " << run.error << "\n";
@@ -227,7 +262,10 @@ int main(int argc, char** argv) {
         .cell(static_cast<std::int64_t>(run.param("domains")))
         .cell(static_cast<std::int64_t>(*run.metric("hop_deliveries")))
         .cell(rate != nullptr ? *rate : 0.0, 0)
-        .cell(*run.metric("kernel_wall_seconds"), 4);
+        .cell(*run.metric("kernel_wall_seconds"), 4)
+        .cell(static_cast<std::int64_t>(*run.metric("advances")))
+        .cell(static_cast<std::int64_t>(*run.metric("empty_advances")))
+        .cell(static_cast<std::int64_t>(*run.metric("stolen_advances")));
   }
   std::cout << "PDES kernel scaling baseline\n\n";
   table.print(std::cout);

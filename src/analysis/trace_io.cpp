@@ -26,20 +26,6 @@ std::int64_t parse_int(std::string_view text, const char* what) {
   return value;
 }
 
-/// Extracts "<key>=<int>" from a header line.
-std::int64_t header_field(const std::string& line, std::string_view key) {
-  const auto pos = line.find(key);
-  if (pos == std::string::npos) {
-    throw std::runtime_error("trace csv: missing header field " +
-                             std::string(key));
-  }
-  const auto start = pos + key.size() + 1;  // skip '='
-  auto end = line.find(' ', start);
-  if (end == std::string::npos) end = line.size();
-  return parse_int(std::string_view(line).substr(start, end - start),
-                   key.data());
-}
-
 std::vector<std::string_view> split(std::string_view line, char sep) {
   std::vector<std::string_view> out;
   std::size_t start = 0;
@@ -50,6 +36,19 @@ std::vector<std::string_view> split(std::string_view line, char sep) {
     }
   }
   return out;
+}
+
+/// Extracts the value of the space-separated "<key>=<int>" token of a
+/// header line (which starts "# ").
+std::int64_t header_field(std::string_view line, std::string_view key) {
+  for (const std::string_view token : split(line.substr(2), ' ')) {
+    if (token.size() > key.size() && token.substr(0, key.size()) == key &&
+        token[key.size()] == '=') {
+      return parse_int(token.substr(key.size() + 1), key.data());
+    }
+  }
+  throw std::runtime_error("trace csv: missing header field " +
+                           std::string(key));
 }
 
 }  // namespace
@@ -102,7 +101,11 @@ ProbeTrace read_trace_csv(std::istream& is) {
     ProbeRecord record;
     record.seq = static_cast<std::uint64_t>(parse_int(cells[0], "seq"));
     record.send_time = Duration::nanos(parse_int(cells[1], "send_ns"));
-    record.received = parse_int(cells[2], "received") != 0;
+    const std::int64_t received = parse_int(cells[2], "received");
+    if (received != 0 && received != 1) {
+      throw std::runtime_error("trace csv: received must be 0 or 1");
+    }
+    record.received = received == 1;
     record.rtt = Duration::nanos(parse_int(cells[3], "rtt_ns"));
     record.echo_time = Duration::nanos(parse_int(cells[4], "echo_ns"));
     if (record.seq != trace.records.size()) {

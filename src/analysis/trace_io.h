@@ -24,8 +24,9 @@ void write_trace_csv(std::ostream& os, const ProbeTrace& trace);
 void save_trace_csv(const std::string& path, const ProbeTrace& trace);
 
 /// Parses a trace written by write_trace_csv.  Throws std::runtime_error
-/// on malformed input (wrong magic, bad field counts, non-numeric cells,
-/// out-of-order sequence numbers).
+/// on malformed input (wrong magic, bad field counts, a cell or header
+/// value that is not a whole base-10 int64, a received flag other than 0
+/// or 1, out-of-order sequence numbers).
 ProbeTrace read_trace_csv(std::istream& is);
 ProbeTrace load_trace_csv(const std::string& path);
 

@@ -1,13 +1,16 @@
 #include "sim/channel.h"
 
+#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <numeric>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "util/audit.h"
 
@@ -19,6 +22,19 @@ constexpr double kRowSumTolerance = 1e-9;
 
 [[noreturn]] void bad_config(const std::string& what) {
   throw std::invalid_argument("MarkovChannelConfig: " + what);
+}
+
+/// The whole of `text` as a base-10 int64; anything else (trailing bytes,
+/// blanks, overflow) is a malformed schedule.
+std::int64_t parse_schedule_int(std::string_view text) {
+  std::int64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) {
+    throw std::invalid_argument("DeliverySchedule: bad integer '" +
+                                std::string(text) + "'");
+  }
+  return value;
 }
 
 }  // namespace
@@ -188,31 +204,39 @@ DeliverySchedule DeliverySchedule::parse(std::istream& is) {
       while (header >> token) {
         if (token.rfind("bytes_per_opportunity=", 0) == 0) {
           schedule.bytes_per_opportunity =
-              std::stoll(token.substr(token.find('=') + 1));
+              parse_schedule_int(token.substr(token.find('=') + 1));
         } else if (token.rfind("period_ns=", 0) == 0) {
-          schedule.period =
-              Duration::nanos(std::stoll(token.substr(token.find('=') + 1)));
+          schedule.period = Duration::nanos(
+              parse_schedule_int(token.substr(token.find('=') + 1)));
           have_period = true;
         }
       }
       continue;
     }
-    schedule.opportunities.push_back(Duration::nanos(std::stoll(line)));
+    schedule.opportunities.push_back(Duration::nanos(parse_schedule_int(line)));
   }
   if (schedule.opportunities.empty()) {
     throw std::invalid_argument("DeliverySchedule: empty schedule file");
   }
-  if (!have_period) {
+  const Duration first = schedule.opportunities.front();
+  const Duration last = schedule.opportunities.back();
+  // A negative or unsorted trace gets no default period: validate()
+  // rejects it below, and the span arithmetic could overflow on it.
+  if (!have_period && !first.is_negative() && first <= last) {
     // Default period: one mean inter-opportunity gap of silence after the
     // last opportunity, so the replayed cycle keeps the trace's mean rate.
-    const Duration span =
-        schedule.opportunities.back() - schedule.opportunities.front();
+    const Duration span = last - first;
     Duration gap = schedule.opportunities.size() > 1
                        ? span / static_cast<std::int64_t>(
                                     schedule.opportunities.size() - 1)
                        : Duration::millis(1.0);
     if (gap.is_zero()) gap = Duration::nanos(1);
-    schedule.period = schedule.opportunities.back() + gap;
+    if (last.count_nanos() >
+        std::numeric_limits<std::int64_t>::max() - gap.count_nanos()) {
+      throw std::invalid_argument(
+          "DeliverySchedule: default period overflows; give period_ns");
+    }
+    schedule.period = last + gap;
   }
   schedule.validate();
   return schedule;

@@ -179,7 +179,9 @@ struct DeliverySchedule {
   ///
   /// The period_ns header is optional; when absent the period defaults to
   /// the last opportunity plus the mean inter-opportunity gap (one mean
-  /// gap of silence before the trace repeats).
+  /// gap of silence before the trace repeats).  Every number must be a
+  /// whole base-10 int64; parse throws std::invalid_argument on anything
+  /// else and on a schedule validate() rejects.
   static DeliverySchedule parse(std::istream& is);
   static DeliverySchedule load(const std::string& path);
   void write(std::ostream& os) const;

@@ -51,11 +51,14 @@ bool Domain::advance(SimTime end, std::size_t max_events,
       sim_.dispatch_external(h.at, [&] {
         links_by_uid[h.link]->deliver_remote(h.at, std::move(h.packet));
       });
+      ++stats_.handoffs;
     } else {
       sim_.dispatch_next();
     }
     ++executed;
   }
+  ++stats_.advances;
+  if (executed == 0) ++stats_.empty_advances;
 
   // Publish the new safe time: this domain's next action can be no
   // earlier than min(next local event, next staged handoff, horizon) —

@@ -1,6 +1,7 @@
 // One shard of a parallel simulation (see sim/pdes.h): a Simulator plus
 // the channels connecting it to its neighbor domains, advanced in bounded
-// batches by whichever worker thread claims it.
+// batches by the worker thread that claims it (normally its owner; see
+// ParallelSimulation::drive).
 //
 // Synchronization is conservative lookahead without null messages.  Each
 // domain publishes an atomic safe-time S: a promise that no event in this
@@ -35,6 +36,17 @@ namespace bolot::sim {
 
 class ParallelSimulation;
 
+/// Per-domain kernel counters, cumulative over run_until calls.  `events`
+/// and `handoffs` are simulation state (identical for any worker count);
+/// the advance counts describe the scheduling and vary run to run.
+struct DomainStats {
+  std::uint64_t events = 0;           // events dispatched in this domain
+  std::uint64_t handoffs = 0;         // cross-domain arrivals dispatched
+  std::uint64_t advances = 0;         // batches driven (advance calls)
+  std::uint64_t empty_advances = 0;   // batches that dispatched no event
+  std::uint64_t stolen_advances = 0;  // batches driven by a non-owner
+};
+
 class Domain {
  public:
   static constexpr std::int64_t kNever = SpscChannel::kNever;
@@ -55,6 +67,8 @@ class Domain {
  private:
   friend class ParallelSimulation;
 
+  static constexpr std::size_t kCacheLine = 64;
+
   struct Inbound {
     SpscChannel* channel = nullptr;
     const Domain* source = nullptr;
@@ -73,9 +87,9 @@ class Domain {
     }
   };
 
-  /// Exclusive-execution claim; domains are driven by whichever worker
-  /// wins the exchange, so any number of threads (including one) makes
-  /// progress on every domain.
+  /// Exclusive-execution claim: each domain has an owning worker, but a
+  /// worker that has idled long enough steals, so the claim — not the
+  /// ownership — is what keeps two threads out of one domain.
   bool try_claim() { return !claimed_.exchange(true, std::memory_order_acquire); }
   void release() { claimed_.store(false, std::memory_order_release); }
 
@@ -91,8 +105,14 @@ class Domain {
   std::vector<Inbound> inbound_;
   std::vector<SpscChannel*> outbound_;
   std::priority_queue<Handoff, std::vector<Handoff>, StagedAfter> staged_;
-  std::atomic<std::int64_t> safe_ns_{0};
-  std::atomic<bool> claimed_{false};
+  /// Kernel counters (ParallelSimulation::domain_stats); written under
+  /// the claim, read once the run has joined.
+  DomainStats stats_;
+  /// Alone on its cache line: every downstream domain reads it on each
+  /// advance, while the claim below is written by the driving thread on
+  /// every batch.
+  alignas(kCacheLine) std::atomic<std::int64_t> safe_ns_{0};
+  alignas(kCacheLine) std::atomic<bool> claimed_{false};
   /// True once this domain can do nothing more at or before `end`; only
   /// meaningful within one ParallelSimulation::run_until call (reset at
   /// entry).  Written under the claim, read by the driver loop.

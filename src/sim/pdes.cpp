@@ -13,6 +13,31 @@ namespace bolot::sim {
 
 namespace {
 
+/// Idle passes that spin in place before a worker starts yielding its
+/// core: a neighbor's batch usually publishes within microseconds.
+constexpr std::size_t kSpinIdlePasses = 64;
+
+/// Hardware threads of the host; "unbounded" when the host will not say.
+std::size_t host_threads() {
+  static const std::size_t threads = [] {
+    const unsigned n = std::thread::hardware_concurrency();
+    return n == 0 ? std::numeric_limits<std::size_t>::max()
+                  : std::size_t{n};
+  }();
+  return threads;
+}
+
+/// A short busy-wait that tells the core this is a spin loop.
+void cpu_relax() {
+  for (int i = 0; i < 16; ++i) {
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__)
+    asm volatile("yield");
+#endif
+  }
+}
+
 std::mutex& donor_mutex() {
   static std::mutex m;
   return m;
@@ -126,24 +151,43 @@ void ParallelSimulation::attach(Network& net,
 }
 
 void ParallelSimulation::drive(SimTime end) {
-  bool all_done = false;
-  while (!all_done) {
+  // Ownership keeps each domain's heap, staging queue and channels in one
+  // core's cache: participant k drives the domains i with i % n == k,
+  // where n counts the participants so far (a late arrival takes its
+  // share from the next pass on).  Only after kStealAfterIdlePasses
+  // fruitless passes does a worker claim others' domains too — which
+  // keeps the run live when an owner is descheduled.  An owner needs a
+  // core of its own: once the participants fill the host's hardware
+  // threads, some owner is always off-CPU and its domains would sit out
+  // the steal threshold, so every worker claims any domain.
+  const std::size_t me = participants_.fetch_add(1, std::memory_order_relaxed);
+  const std::size_t cores = host_threads();
+  std::size_t idle_passes = 0;
+  while (true) {
+    const std::size_t n = participants_.load(std::memory_order_relaxed);
+    const bool steal = n >= cores || idle_passes >= kStealAfterIdlePasses;
+    bool all_done = true;
     bool progress = false;
-    all_done = true;
-    for (Domain& d : domains_) {
+    for (std::size_t i = 0; i < domains_.size(); ++i) {
+      Domain& d = domains_[i];
       if (d.done_.load(std::memory_order_acquire)) continue;
-      if (!d.try_claim()) {
-        all_done = false;  // another worker owns it; not proven done
-        continue;
-      }
+      all_done = false;
+      const bool mine = i % n == me;
+      if (!(mine || steal) || !d.try_claim()) continue;
       if (!d.done_.load(std::memory_order_relaxed)) {
+        if (!mine) ++d.stats_.stolen_advances;
         progress |= d.advance(end, kBatchEvents, links_by_uid_);
       }
-      const bool done = d.done_.load(std::memory_order_relaxed);
       d.release();
-      if (!done) all_done = false;
     }
-    if (!all_done && !progress) std::this_thread::yield();
+    if (all_done) return;
+    if (progress) {
+      idle_passes = 0;
+    } else if (++idle_passes < kSpinIdlePasses) {
+      cpu_relax();
+    } else {
+      std::this_thread::yield();
+    }
   }
 }
 
@@ -154,6 +198,7 @@ void ParallelSimulation::run_until(SimTime end) {
     return;
   }
   for (Domain& d : domains_) d.done_.store(false, std::memory_order_relaxed);
+  participants_.store(0, std::memory_order_relaxed);
 
   ThreadDonor donor;
   {
@@ -202,6 +247,16 @@ std::uint64_t ParallelSimulation::events_dispatched() const {
   std::uint64_t total = 0;
   for (const Domain& d : domains_) total += d.simulator().events_dispatched();
   return total;
+}
+
+std::vector<DomainStats> ParallelSimulation::domain_stats() const {
+  std::vector<DomainStats> stats;
+  stats.reserve(domains_.size());
+  for (const Domain& d : domains_) {
+    stats.push_back(d.stats_);
+    stats.back().events = d.simulator().events_dispatched();
+  }
+  return stats;
 }
 
 void ParallelSimulation::audit_verify() const {

@@ -21,9 +21,12 @@
 // Worker threads come from an optional process-wide donor (installed by
 // runner::shared_pool(), so the sim layer never depends on the runner);
 // with no donor — or a one-thread pool — the calling thread drives every
-// domain itself and the run still completes, just without speedup.
+// domain itself and the run still completes, just without speedup.  Each
+// thread that joins a run owns a fixed share of the domains and touches
+// the others only when it has long been idle (see drive()).
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -99,6 +102,10 @@ class ParallelSimulation {
   /// ring's arrival event does sequentially.
   std::uint64_t events_dispatched() const;
 
+  /// Per-domain kernel counters (see DomainStats), indexed by domain.
+  /// Read between run_until calls, never during one.
+  std::vector<DomainStats> domain_stats() const;
+
   /// Deep-walks every domain's event queue invariants (tests; audit
   /// builds also do this inline every kAuditStride events per domain).
   void audit_verify() const;
@@ -111,10 +118,19 @@ class ParallelSimulation {
   /// worker moves on.  Large enough to amortize the claim + publish,
   /// small enough that neighbors' horizons advance promptly.
   static constexpr std::size_t kBatchEvents = 1024;
+  /// Consecutive passes without progress after which a worker also
+  /// drives domains it does not own (an owner that was descheduled, or
+  /// one still busy while this worker has nothing to do).  Large enough
+  /// that a steady run keeps every domain on one thread.  Workers that
+  /// fill the host's hardware threads steal from the start (drive()).
+  static constexpr std::size_t kStealAfterIdlePasses = 2000;
 
   void drive(SimTime end);
 
   std::deque<Domain> domains_;       // deque: Domain is pinned (atomics)
+  /// Threads that have entered drive() in the current run_until call;
+  /// the k-th arrival owns the domains i with i % count == k.
+  std::atomic<std::size_t> participants_{0};
   std::deque<SpscChannel> channels_; // deque: channels are pinned too
   std::vector<Link*> links_by_uid_;
   bool attached_ = false;

@@ -5,10 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
+#include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "runner/thread_pool.h"
@@ -161,13 +165,17 @@ struct ChainTrace {
   std::vector<std::tuple<std::int64_t, std::uint64_t, std::uint32_t>> fwd;
   std::vector<std::tuple<std::int64_t, std::uint64_t, std::uint32_t>> rev;
   std::uint64_t events = 0;
+  // Kernel counters of a sharded run (not part of the equality: the
+  // advance counts depend on scheduling).
+  std::vector<DomainStats> domains;
 
   bool operator==(const ChainTrace& other) const {
     return fwd == other.fwd && rev == other.rev && events == other.events;
   }
 };
 
-ChainTrace run_chain_case(std::size_t domains, Duration slice = {}) {
+ChainTrace run_chain_case(std::size_t domains, Duration slice = {},
+                          Duration end = Duration::seconds(2)) {
   std::optional<ParallelSimulation> psim;
   std::optional<Simulator> seq;
   if (domains > 0) {
@@ -229,7 +237,6 @@ ChainTrace run_chain_case(std::size_t domains, Duration slice = {}) {
   fwd_src.start(Duration::zero());
   rev_src.start(Duration::micros(733.3));
 
-  const Duration end = Duration::seconds(2);
   if (slice > Duration::zero()) {
     // Slice stepping, the fuzz harness's pattern: repeated run_until
     // calls with increasing end must match a single-shot run.
@@ -244,6 +251,7 @@ ChainTrace run_chain_case(std::size_t domains, Duration slice = {}) {
   if (psim) {
     psim->run_until(end);
     trace.events = psim->events_dispatched();
+    trace.domains = psim->domain_stats();
   } else {
     seq->run_until(end);
     trace.events = seq->events_dispatched();
@@ -282,6 +290,114 @@ TEST(PdesTest, RepeatedShardedRunsIdenticalWithWorkerThreads) {
   const ChainTrace second = run_chain_case(4);
   EXPECT_TRUE(first == second);
   EXPECT_TRUE(run_chain_case(0) == first);
+}
+
+/// Installs `donor` for one test, then puts back the process-wide pool's
+/// donor so later tests borrow real workers again.
+class DonorScope {
+ public:
+  explicit DonorScope(ParallelSimulation::ThreadDonor donor) {
+    ParallelSimulation::set_thread_donor(std::move(donor));
+  }
+  ~DonorScope() {
+    ParallelSimulation::set_thread_donor([](std::function<void()> job) {
+      runner::shared_pool().submit(std::move(job));
+    });
+  }
+  DonorScope(const DonorScope&) = delete;
+  DonorScope& operator=(const DonorScope&) = delete;
+};
+
+ParallelSimulation::ThreadDonor pool_donor(runner::ThreadPool& pool) {
+  return [&pool](std::function<void()> job) { pool.submit(std::move(job)); };
+}
+
+// Donor shapes the owner/steal driver must survive.  Every one must give
+// the sequential kernel's exact streams: a worker's share of the domains
+// changes who runs a batch, never what the batch does.
+
+TEST(PdesDriverTest, DroppingDonorLeavesTheCallerToDriveEveryDomain) {
+  const ChainTrace sequential = run_chain_case(0);
+  const DonorScope scope([](std::function<void()>) {});  // jobs never run
+  const ChainTrace sharded = run_chain_case(4);
+  EXPECT_TRUE(sharded == sequential);
+  for (const DomainStats& d : sharded.domains) {
+    EXPECT_EQ(d.stolen_advances, 0u);  // a lone participant owns all four
+  }
+}
+
+TEST(PdesDriverTest, LateWorkersJoinMidRun) {
+  // A long run, so workers 20 ms late arrive while the caller, which
+  // owned every domain until then, is still driving.
+  const Duration end = Duration::seconds(120);
+  const ChainTrace sequential = run_chain_case(0, {}, end);
+  std::vector<std::thread> late;
+  ChainTrace sharded;
+  {
+    const DonorScope scope([&late](std::function<void()> job) {
+      late.emplace_back([job = std::move(job)] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        job();
+      });
+    });
+    sharded = run_chain_case(4, {}, end);
+  }
+  for (std::thread& t : late) t.join();
+  EXPECT_TRUE(sharded == sequential);
+}
+
+TEST(PdesDriverTest, OneThreadDonorMatchesSequential) {
+  const ChainTrace sequential = run_chain_case(0);
+  runner::ThreadPool pool(1);
+  const DonorScope scope(pool_donor(pool));
+  EXPECT_TRUE(run_chain_case(4) == sequential);
+  EXPECT_TRUE(run_chain_case(3) == sequential);
+}
+
+TEST(PdesDriverTest, MoreWorkersThanDomainsMatchesSequential) {
+  const ChainTrace sequential = run_chain_case(0);
+  runner::ThreadPool pool(8);
+  const DonorScope scope(pool_donor(pool));
+  EXPECT_TRUE(run_chain_case(4) == sequential);
+  EXPECT_TRUE(run_chain_case(2) == sequential);
+  EXPECT_TRUE(run_chain_case(4, Duration::millis(83)) == sequential);
+}
+
+TEST(PdesDriverTest, DomainStatsSumToEventsDispatched) {
+  const DonorScope scope(nullptr);
+  const ChainTrace sharded = run_chain_case(4);
+  ASSERT_EQ(sharded.domains.size(), 4u);
+  std::uint64_t events = 0;
+  for (const DomainStats& d : sharded.domains) {
+    events += d.events;
+    EXPECT_GT(d.handoffs, 0u);  // traffic crosses every cut both ways
+    EXPECT_GT(d.advances, 0u);
+    EXPECT_LE(d.empty_advances, d.advances);
+    EXPECT_LE(d.handoffs, d.events);
+  }
+  EXPECT_EQ(events, sharded.events);
+}
+
+TEST(PdesDriverTest, DomainEventsAndHandoffsIndependentOfWorkerCount) {
+  std::vector<ChainTrace> runs;
+  {
+    const DonorScope scope(nullptr);
+    runs.push_back(run_chain_case(4));
+  }
+  for (std::size_t workers : {1u, 3u}) {
+    runner::ThreadPool pool(workers);
+    const DonorScope scope(pool_donor(pool));
+    runs.push_back(run_chain_case(4));
+  }
+  for (std::size_t r = 1; r < runs.size(); ++r) {
+    ASSERT_EQ(runs[r].domains.size(), runs[0].domains.size());
+    for (std::size_t i = 0; i < runs[0].domains.size(); ++i) {
+      EXPECT_EQ(runs[r].domains[i].events, runs[0].domains[i].events)
+          << "run " << r << " domain " << i;
+      EXPECT_EQ(runs[r].domains[i].handoffs, runs[0].domains[i].handoffs)
+          << "run " << r << " domain " << i;
+    }
+  }
 }
 
 TEST(PdesScenarioTest, ShardedInriaUmdMatchesSequential) {
