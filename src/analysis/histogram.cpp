@@ -1,6 +1,8 @@
 #include "analysis/histogram.h"
 
+#include <cmath>
 #include <cstdint>
+#include <map>
 #include <stdexcept>
 
 namespace bolot::analysis {
@@ -77,5 +79,26 @@ std::vector<HistogramPeak> Histogram::find_peaks(
   }
   return peaks;
 }
+
+namespace detail {
+
+TickPair heaviest_tick_pair(std::span<const double> values_ms, double lo_ms,
+                            double hi_ms, std::int64_t tick_us) {
+  std::map<std::int64_t, std::size_t> counts;
+  for (double v : values_ms) {
+    if (v <= lo_ms || v >= hi_ms) continue;
+    ++counts[static_cast<std::int64_t>(std::llround(v * 1e3))];
+  }
+  TickPair best;
+  for (const auto& [value_us, count] : counts) {
+    std::size_t pair = count;
+    const auto next = counts.find(value_us + tick_us);
+    if (next != counts.end()) pair += next->second;
+    if (pair > best.count) best = {value_us, pair};
+  }
+  return best;
+}
+
+}  // namespace detail
 
 }  // namespace bolot::analysis

@@ -52,4 +52,21 @@ class Histogram {
   std::uint64_t overflow_ = 0;
 };
 
+namespace detail {
+
+/// Quantized-clock cluster search shared by analyze_phase_plot() and
+/// estimate_bottleneck(): counts the values strictly inside (lo_ms, hi_ms)
+/// at microsecond resolution and returns the value (us) whose count plus
+/// that of value + tick_us is largest, first in ascending order on a tie.
+/// `count` is 0 when no value lies in the range.
+struct TickPair {
+  std::int64_t value_us = 0;
+  std::size_t count = 0;
+};
+
+TickPair heaviest_tick_pair(std::span<const double> values_ms, double lo_ms,
+                            double hi_ms, std::int64_t tick_us);
+
+}  // namespace detail
+
 }  // namespace bolot::analysis

@@ -52,7 +52,8 @@ struct LossStats {
 };
 
 /// Computes the loss statistics from a 0/1 loss indicator sequence
-/// (1 = lost).  Throws on an empty sequence.
+/// (1 = lost) by pushing it through a StreamingLossState.  Throws on an
+/// empty sequence.
 LossStats loss_stats(std::span<const std::uint8_t> losses);
 LossStats loss_stats(const ProbeTrace& trace);
 

@@ -6,30 +6,22 @@
 
 namespace bolot::analysis {
 
-Summary summarize(std::span<const double> xs) {
+Summary RunningSummary::summary() const {
   Summary s;
-  s.count = xs.size();
-  if (xs.empty()) return s;
-  // Welford's online algorithm: numerically stable single pass.
-  double mean = 0.0;
-  double m2 = 0.0;
-  double lo = xs[0];
-  double hi = xs[0];
-  std::size_t n = 0;
-  for (double x : xs) {
-    ++n;
-    const double delta = x - mean;
-    mean += delta / static_cast<double>(n);
-    m2 += delta * (x - mean);
-    lo = std::min(lo, x);
-    hi = std::max(hi, x);
-  }
-  s.mean = mean;
-  s.variance = n > 1 ? m2 / static_cast<double>(n - 1) : 0.0;
+  s.count = count_;
+  if (count_ == 0) return s;
+  s.mean = mean_;
+  s.variance = variance();
   s.stddev = std::sqrt(s.variance);
-  s.min = lo;
-  s.max = hi;
+  s.min = min_;
+  s.max = max_;
   return s;
+}
+
+Summary summarize(std::span<const double> xs) {
+  RunningSummary running;
+  for (double x : xs) running.push(x);
+  return running.summary();
 }
 
 double quantile(std::span<const double> xs, double q) {

@@ -1,6 +1,7 @@
 // Descriptive statistics shared by all analysis passes.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <span>
 #include <vector>
@@ -14,6 +15,37 @@ struct Summary {
   double stddev = 0.0;
   double min = 0.0;
   double max = 0.0;
+};
+
+/// Welford's running summary: the one recurrence behind summarize() and
+/// StreamingAutocorr, so both give bit-identical results on the same
+/// values pushed in the same order.
+class RunningSummary {
+ public:
+  void push(double x) {
+    ++count_;
+    if (count_ == 1) min_ = max_ = x;
+    const double delta = x - mean_;
+    mean_ += delta / static_cast<double>(count_);
+    m2_ += delta * (x - mean_);
+    min_ = std::min(min_, x);
+    max_ = std::max(max_, x);
+  }
+
+  std::size_t count() const { return count_; }
+  double mean() const { return mean_; }
+  double variance() const {
+    return count_ > 1 ? m2_ / static_cast<double>(count_ - 1) : 0.0;
+  }
+  /// Zeroed struct when nothing was pushed.
+  Summary summary() const;
+
+ private:
+  std::size_t count_ = 0;
+  double mean_ = 0.0;
+  double m2_ = 0.0;
+  double min_ = 0.0;
+  double max_ = 0.0;
 };
 
 /// Summary of a sample; returns a zeroed struct for an empty input.

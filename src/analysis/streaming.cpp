@@ -70,17 +70,22 @@ void KeyStatMap::sorted_entries(std::vector<Entry>& out) const {
 // StreamingLossState
 // ---------------------------------------------------------------------------
 
+namespace {
+
+double ratio(std::size_t num, std::size_t den) {
+  return static_cast<double>(num) / static_cast<double>(den);
+}
+
+}  // namespace
+
 StreamingLossState::StreamingLossState(std::size_t burst_capacity) {
   closed_bursts_.reserve(burst_capacity);
 }
 
 void StreamingLossState::push_lost(bool lost) {
   if (have_prev_) {
-    // The batch estimator counts a pair at n whenever sample n+1 exists,
-    // which is exactly "the previous sample now has a successor".
+    // A pair (n, n+1) is counted once sample n+1 arrives.
     if (prev_lost_) {
-      ++lost_pairs_den_;
-      if (lost) ++lost_pairs_num_;
       ++lost_pairs_;
       if (!lost) ++lost_to_ok_;
     } else {
@@ -102,9 +107,7 @@ void StreamingLossState::push_lost(bool lost) {
 }
 
 double StreamingLossState::loss_fraction() const {
-  return probes_ > 0
-             ? static_cast<double>(losses_) / static_cast<double>(probes_)
-             : 0.0;
+  return probes_ > 0 ? ratio(losses_, probes_) : 0.0;
 }
 
 LossStats StreamingLossState::stats() const {
@@ -116,29 +119,23 @@ LossStats StreamingLossState::stats() const {
   s.losses = losses_;
   s.burst_length_counts = closed_bursts_;
   if (run_ > 0) {
-    // The batch counts the trailing run at end-of-input; the snapshot
-    // closes the open run the same way.
+    // The snapshot closes the still-open trailing run.
     if (run_ > s.burst_length_counts.size()) {
       s.burst_length_counts.resize(run_, 0);
     }
     ++s.burst_length_counts[run_ - 1];
   }
-  s.ulp = static_cast<double>(s.losses) / static_cast<double>(s.probes);
-  s.clp = lost_pairs_den_ > 0 ? static_cast<double>(lost_pairs_num_) /
-                                    static_cast<double>(lost_pairs_den_)
-                              : 0.0;
+  s.ulp = ratio(s.losses, s.probes);
+  // clp = #(lost, lost) / #(lost, .).
+  s.clp = lost_pairs_ > 0 ? ratio(lost_pairs_ - lost_to_ok_, lost_pairs_)
+                          : 0.0;
   s.plg_from_clp = s.clp < 1.0 ? 1.0 / (1.0 - s.clp)
                                : std::numeric_limits<double>::infinity();
-  std::size_t burst_count = 0;
-  std::size_t burst_total = 0;
-  for (std::size_t k = 0; k < s.burst_length_counts.size(); ++k) {
-    burst_count += s.burst_length_counts[k];
-    burst_total += s.burst_length_counts[k] * (k + 1);
-  }
-  s.mean_burst_length = burst_count > 0
-                            ? static_cast<double>(burst_total) /
-                                  static_cast<double>(burst_count)
-                            : 0.0;
+  // Every loss lies in exactly one run, so the runs' total length is
+  // s.losses.
+  std::size_t runs = 0;
+  for (std::size_t count : s.burst_length_counts) runs += count;
+  s.mean_burst_length = runs > 0 ? ratio(s.losses, runs) : 0.0;
   return s;
 }
 
@@ -147,33 +144,88 @@ GilbertFit StreamingLossState::gilbert() const {
     throw std::invalid_argument(
         "StreamingLossState::gilbert: need at least two samples");
   }
+  // A chain that never leaves one state leaves the other state's rate
+  // unobserved; the clamp makes stationary_loss() the empirical rate
+  // (all-lost: p = 1, q = 0; never lost after an ok: q = 1).
+  if (ok_pairs_ == 0) return {.p = 1.0, .q = 0.0, .degenerate = true};
   GilbertFit fit;
-  if (ok_pairs_ == 0) {
-    fit.p = 1.0;
-    fit.q = 0.0;
-    fit.degenerate = true;
-    return fit;
-  }
-  if (lost_pairs_ == 0) {
-    fit.p =
-        static_cast<double>(ok_to_lost_) / static_cast<double>(ok_pairs_);
-    fit.q = 1.0;
-    fit.degenerate = true;
-    return fit;
-  }
-  fit.p = static_cast<double>(ok_to_lost_) / static_cast<double>(ok_pairs_);
-  fit.q =
-      static_cast<double>(lost_to_ok_) / static_cast<double>(lost_pairs_);
+  fit.p = ratio(ok_to_lost_, ok_pairs_);
+  fit.degenerate = lost_pairs_ == 0;
+  fit.q = fit.degenerate ? 1.0 : ratio(lost_to_ok_, lost_pairs_);
   return fit;
 }
 
 // ---------------------------------------------------------------------------
-// StreamingLindley
+// WorkloadCore / StreamingLindley
 // ---------------------------------------------------------------------------
+
+namespace detail {
+
+WorkloadCore::WorkloadCore(const Params& params)
+    : params_(params),
+      histogram_(0.0, params.edge_ms,
+                 static_cast<std::size_t>(std::max(
+                     8.0, std::ceil(params.edge_ms / params.bin_ms)))) {}
+
+void WorkloadCore::add(double g) {
+  histogram_.add(g);
+  ++samples_;
+  // Mean workload over samples where the busy-period assumption holds
+  // (g_n > P/mu, i.e. implied b_n > 0).
+  const double b = params_.mu_bits_per_ms * g - params_.probe_bits;
+  if (b > 0.0) {
+    busy_bits_sum_ += b;
+    ++busy_;
+  }
+}
+
+double WorkloadCore::mean_workload_bits() const {
+  return busy_ > 0 ? busy_bits_sum_ / static_cast<double>(busy_) : 0.0;
+}
+
+double WorkloadCore::busy_sample_fraction() const {
+  return samples_ > 0
+             ? static_cast<double>(busy_) / static_cast<double>(samples_)
+             : 0.0;
+}
+
+WorkloadAnalysis WorkloadCore::analysis() const {
+  WorkloadAnalysis result{histogram_, {}, 0.0, 0.0};
+  const double mu_bits_per_ms = params_.mu_bits_per_ms;
+  const double probe_bits = params_.probe_bits;
+  for (const HistogramPeak& peak :
+       histogram_.find_peaks(params_.min_peak_mass, 2)) {
+    WorkloadPeak wp;
+    wp.position_ms = peak.center;
+    wp.mass = peak.mass;
+    wp.workload_bits =
+        std::max(0.0, mu_bits_per_ms * peak.center - probe_bits);
+    // Label peaks that are neither the compression peak (near P/mu) nor
+    // the idle peak (near delta) as k reference packets.  A peak can only
+    // be one of those if its *bin* covers P/mu or delta, i.e. the center
+    // lies within half a bin of it; a full bin's tolerance would swallow
+    // the adjacent-bin peaks too.
+    const double service_ms = probe_bits / mu_bits_per_ms;
+    const double half_bin = 0.5 * histogram_.bin_width();
+    const bool is_compression =
+        std::abs(peak.center - service_ms) <= half_bin;
+    const bool is_idle = std::abs(peak.center - params_.delta_ms) <= half_bin;
+    if (!is_compression && !is_idle && wp.workload_bits > 0.0) {
+      wp.cross_packets = wp.workload_bits / params_.reference_bits;
+    }
+    result.peaks.push_back(wp);
+  }
+  result.mean_workload_bits = mean_workload_bits();
+  result.busy_sample_fraction = busy_sample_fraction();
+  return result;
+}
+
+}  // namespace detail
 
 namespace {
 
-std::size_t lindley_bins(const StreamingLindleyConfig& config) {
+detail::WorkloadCore::Params lindley_params(
+    const StreamingLindleyConfig& config) {
   if (!(config.max > Duration::zero())) {
     throw std::invalid_argument(
         "StreamingLindley: config.max must be positive (one-pass "
@@ -183,80 +235,40 @@ std::size_t lindley_bins(const StreamingLindleyConfig& config) {
     throw std::invalid_argument("StreamingLindley: config.bin must be "
                                 "positive");
   }
-  return static_cast<std::size_t>(
-      std::max(8.0, std::ceil(config.max.millis() / config.bin.millis())));
+  if (config.bottleneck.bps() <= 0.0) {
+    throw std::invalid_argument("StreamingLindley: mu must be positive");
+  }
+  return {.edge_ms = config.max.millis(),
+          .bin_ms = config.bin.millis(),
+          .delta_ms = config.delta.millis(),
+          .mu_bits_per_ms = config.bottleneck.bps() * 1e-3,
+          .probe_bits = static_cast<double>(config.probe_wire.bit_count()),
+          .reference_bits =
+              static_cast<double>(config.reference_packet.bit_count()),
+          .min_peak_mass = config.min_peak_mass};
 }
 
 }  // namespace
 
 StreamingLindley::StreamingLindley(const StreamingLindleyConfig& config)
-    : config_(config),
-      histogram_(0.0, config.max.millis(), lindley_bins(config)) {
-  if (config_.bottleneck.bps() <= 0.0) {
-    throw std::invalid_argument("StreamingLindley: mu must be positive");
-  }
-  mu_bits_per_ms_ = config_.bottleneck.bps() * 1e-3;
-  probe_bits_ = static_cast<double>(config_.probe_wire.bit_count());
-}
+    : delta_ms_(config.delta.millis()), core_(lindley_params(config)) {}
 
 void StreamingLindley::push(Duration rtt) {
   const bool received = !(rtt == Duration::zero());
   if (received) {
     const double rtt_ms = rtt.millis();
-    if (have_prev_) {
-      const double g = rtt_ms - prev_rtt_ms_ + config_.delta.millis();
-      histogram_.add(g);
-      ++samples_;
-      const double b = mu_bits_per_ms_ * g - probe_bits_;
-      if (b > 0.0) {
-        busy_bits_sum_ += b;
-        ++busy_;
-      }
-    }
+    if (have_prev_) core_.add(rtt_ms - prev_rtt_ms_ + delta_ms_);
     prev_rtt_ms_ = rtt_ms;
   }
   have_prev_ = received;
 }
 
-double StreamingLindley::mean_workload_bits() const {
-  return busy_ > 0 ? busy_bits_sum_ / static_cast<double>(busy_) : 0.0;
-}
-
-double StreamingLindley::busy_sample_fraction() const {
-  return samples_ > 0
-             ? static_cast<double>(busy_) / static_cast<double>(samples_)
-             : 0.0;
-}
-
 WorkloadAnalysis StreamingLindley::analysis() const {
-  if (samples_ == 0) {
+  if (core_.samples() == 0) {
     throw std::invalid_argument(
         "StreamingLindley::analysis: no consecutive pairs");
   }
-  WorkloadAnalysis result{histogram_, {}, 0.0, 0.0};
-  const double delta_ms = config_.delta.millis();
-  const double ref_bits =
-      static_cast<double>(config_.reference_packet.bit_count());
-  for (const HistogramPeak& peak :
-       result.histogram.find_peaks(config_.min_peak_mass, 2)) {
-    WorkloadPeak wp;
-    wp.position_ms = peak.center;
-    wp.mass = peak.mass;
-    wp.workload_bits =
-        std::max(0.0, mu_bits_per_ms_ * peak.center - probe_bits_);
-    const double service_ms = probe_bits_ / mu_bits_per_ms_;
-    const double half_bin = 0.5 * result.histogram.bin_width();
-    const bool is_compression =
-        std::abs(peak.center - service_ms) <= half_bin;
-    const bool is_idle = std::abs(peak.center - delta_ms) <= half_bin;
-    if (!is_compression && !is_idle && wp.workload_bits > 0.0) {
-      wp.cross_packets = wp.workload_bits / ref_bits;
-    }
-    result.peaks.push_back(wp);
-  }
-  result.mean_workload_bits = mean_workload_bits();
-  result.busy_sample_fraction = busy_sample_fraction();
-  return result;
+  return core_.analysis();
 }
 
 // ---------------------------------------------------------------------------
@@ -494,20 +506,9 @@ StreamingAutocorr::StreamingAutocorr(std::size_t max_lag)
       cross_(max_lag + 1, 0.0) {}
 
 void StreamingAutocorr::push(double x) {
-  const std::size_t i = count_;
-  if (i == 0) {
-    offset_ = x;
-    min_ = x;
-    max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  // Welford in push order: bit-identical to summarize().
-  const double n = static_cast<double>(i + 1);
-  const double delta = x - mean_;
-  mean_ += delta / n;
-  m2_ += delta * (x - mean_);
+  const std::size_t i = running_.count();
+  if (i == 0) offset_ = x;
+  running_.push(x);
 
   const double z = x - offset_;
   const std::size_t cap = ring_.size();
@@ -518,32 +519,13 @@ void StreamingAutocorr::push(double x) {
   }
   if (i < max_lag_) head_[i] = z;
   shifted_sum_ += z;
-  ++count_;
-}
-
-double StreamingAutocorr::mean() const { return count_ > 0 ? mean_ : 0.0; }
-
-double StreamingAutocorr::variance() const {
-  return count_ > 1 ? m2_ / static_cast<double>(count_ - 1) : 0.0;
-}
-
-Summary StreamingAutocorr::summary() const {
-  Summary s;
-  s.count = count_;
-  if (count_ == 0) return s;
-  s.mean = mean_;
-  s.variance = variance();
-  s.stddev = std::sqrt(s.variance);
-  s.min = min_;
-  s.max = max_;
-  return s;
 }
 
 std::vector<double> StreamingAutocorr::acf() const {
-  if (count_ == 0) {
+  const std::size_t n = running_.count();
+  if (n == 0) {
     throw std::invalid_argument("StreamingAutocorr::acf: empty sample");
   }
-  const std::size_t n = count_;
   // The batch divides by variance * (n - 1) after the m2 / (n - 1)
   // round-trip; reproduce that exact arithmetic path.
   const double denom = variance() * static_cast<double>(n - 1);
@@ -551,7 +533,7 @@ std::vector<double> StreamingAutocorr::acf() const {
     throw std::invalid_argument("StreamingAutocorr::acf: constant sample");
   }
   const std::size_t lags = std::min(max_lag_, n - 1);
-  const double mz = mean_ - offset_;
+  const double mz = running_.mean() - offset_;
   const std::size_t cap = ring_.size();
   std::vector<double> acf(lags + 1, 0.0);
   double tail = 0.0;  // sum of the last `lag` shifted values

@@ -1,22 +1,21 @@
 // One-pass, bounded-memory streaming forms of the core estimators.
 //
-// The batch routines in loss.h / lindley.h / phase_plot.h / stats.h take a
-// complete trace; fine for one path, impossible for an N x N tomography
-// mesh where 10^4+ probe streams must be analyzed online in one process.
-// Each class here is push(rtt)-driven, allocates nothing on the push path
-// after construction, and reproduces its batch counterpart on identical
-// inputs:
+// An N x N tomography mesh analyzes 10^4+ probe streams online in one
+// process, so each class here is push(rtt)-driven and allocates nothing on
+// the push path after construction.  For loss, Gilbert and the eq.-6
+// workload the streaming core is the only implementation: the batch
+// entry points in loss.h / lindley.h fold their input through it.
 //
-//   StreamingLossState  -- ulp / clp / plg and the Gilbert refit.  All
-//                          state is integer transition counters, so
-//                          stats() and gilbert() equal loss_stats() and
-//                          fit_gilbert() *exactly* (bit-for-bit).
-//   StreamingLindley    -- the eq. (6) workload inversion.  The g_n
-//                          histogram and the busy-sample accumulator are
-//                          updated in push order with the same arithmetic
-//                          as analyze_workload(), so analysis() is
-//                          bit-identical given the same (explicit)
-//                          histogram edge.
+//   StreamingLossState  -- ulp / clp / plg and the Gilbert refit from
+//                          integer transition counters.  loss_stats() and
+//                          fit_gilbert() push into one and read stats() /
+//                          gilbert(), so the two agree by construction.
+//   StreamingLindley    -- the eq. (6) workload inversion over
+//                          detail::WorkloadCore, the core that
+//                          analyze_workload() also feeds.  The batch form
+//                          adds only the auto-sized histogram edge; given
+//                          the same explicit edge the two are
+//                          bit-identical.
 //   StreamingPhaseFit   -- the phase-plot mu / D regression.  Quantized
 //                          clocks (clock_tick > 0, an integer number of
 //                          microseconds) reproduce analyze_phase_plot()
@@ -27,16 +26,18 @@
 //                          auxiliary bin of boundary mass (see
 //                          fractions_exact() and docs/ESTIMATORS.md).
 //   StreamingAutocorr   -- fixed-lag autocorrelation plus the Welford
-//                          summary.  mean/variance/min/max are
-//                          bit-identical to summarize(); acf() matches
-//                          autocorrelation() to ~1e-12 relative (the
-//                          centered products are expanded algebraically
-//                          around the first sample; MODEL_NOTES section 17
-//                          gives the cancellation argument).
+//                          summary.  The summary is the RunningSummary
+//                          that summarize() runs, so it is bit-identical;
+//                          acf() matches autocorrelation() to ~1e-12
+//                          relative (the centered products are expanded
+//                          algebraically around the first sample;
+//                          MODEL_NOTES section 17 gives the cancellation
+//                          argument).
 //
-// The batch/streaming equivalence is property-tested on 10^6-sample random
-// streams in tests/analysis/streaming_test.cpp; the contract per estimator
-// is documented in docs/ESTIMATORS.md.
+// tests/analysis/streaming_test.cpp checks the loss state against a
+// definition-level oracle and the phase fit and autocorrelation against
+// their batch references on 10^6-sample random streams; the contract per
+// estimator is documented in docs/ESTIMATORS.md.
 #pragma once
 
 #include <cstdint>
@@ -89,6 +90,41 @@ class KeyStatMap {
   std::size_t capacity_ = 0;
 };
 
+/// The eq.-(6) workload estimator on resolved doubles: g_n samples are
+/// added one at a time in trace order and analysis() decodes the
+/// histogram.  analyze_workload() feeds it after auto-sizing the edge from
+/// the samples; StreamingLindley feeds it from push().
+class WorkloadCore {
+ public:
+  struct Params {
+    double edge_ms = 0.0;  // histogram upper edge
+    double bin_ms = 0.0;
+    double delta_ms = 0.0;
+    double mu_bits_per_ms = 0.0;
+    double probe_bits = 0.0;      // P
+    double reference_bits = 0.0;  // reference cross-traffic packet
+    double min_peak_mass = 0.0;
+  };
+
+  explicit WorkloadCore(const Params& params);
+
+  void add(double g);
+
+  std::size_t samples() const { return samples_; }
+  const Histogram& histogram() const { return histogram_; }
+  double mean_workload_bits() const;
+  double busy_sample_fraction() const;
+  /// Peak labelling and busy-period means over the added samples.
+  WorkloadAnalysis analysis() const;
+
+ private:
+  Params params_;
+  Histogram histogram_;
+  std::size_t samples_ = 0;
+  std::size_t busy_ = 0;
+  double busy_bits_sum_ = 0.0;
+};
+
 }  // namespace detail
 
 // ---------------------------------------------------------------------------
@@ -96,10 +132,9 @@ class KeyStatMap {
 // ---------------------------------------------------------------------------
 
 /// Streaming ulp / clp / plg (paper section 5).  push() one probe outcome
-/// at a time in sequence order; stats() snapshots the same LossStats that
-/// loss_stats() would compute over the pushed prefix, including the
-/// still-open trailing loss run.  All counters are integers, so the match
-/// with the batch estimator is exact, not approximate.
+/// at a time in sequence order; stats() snapshots the LossStats of the
+/// pushed prefix, including the still-open trailing loss run.  The batch
+/// loss_stats() and fit_gilbert() are folds over this class.
 class StreamingLossState {
  public:
   /// `burst_capacity` reserves the burst-length histogram; a loss run
@@ -130,13 +165,11 @@ class StreamingLossState {
  private:
   std::size_t probes_ = 0;
   std::size_t losses_ = 0;
-  std::size_t lost_pairs_num_ = 0;  // (lost, lost) pairs
-  std::size_t lost_pairs_den_ = 0;  // (lost, *) pairs
-  std::size_t ok_to_lost_ = 0;      // Gilbert transition counters
-  std::size_t ok_pairs_ = 0;
-  std::size_t lost_to_ok_ = 0;
-  std::size_t lost_pairs_ = 0;
-  std::size_t run_ = 0;             // open loss run length
+  std::size_t ok_pairs_ = 0;    // (ok, *) pairs
+  std::size_t ok_to_lost_ = 0;  // (ok, lost) pairs
+  std::size_t lost_pairs_ = 0;  // (lost, *) pairs
+  std::size_t lost_to_ok_ = 0;  // (lost, ok) pairs
+  std::size_t run_ = 0;         // open loss run length
   bool have_prev_ = false;
   bool prev_lost_ = false;
   std::vector<std::size_t> closed_bursts_;  // index k = runs of length k+1
@@ -171,25 +204,22 @@ class StreamingLindley {
   /// breaks the consecutive pair exactly as in workload_samples_ms()).
   void push(Duration rtt);
 
-  std::size_t samples() const { return samples_; }
-  const Histogram& histogram() const { return histogram_; }
+  std::size_t samples() const { return core_.samples(); }
+  const Histogram& histogram() const { return core_.histogram(); }
   /// Online accessors (obs Sampler probes); both equal the batch values
   /// over the pushed prefix at any point.
-  double mean_workload_bits() const;
-  double busy_sample_fraction() const;
+  double mean_workload_bits() const { return core_.mean_workload_bits(); }
+  double busy_sample_fraction() const {
+    return core_.busy_sample_fraction();
+  }
 
   /// Equals analyze_workload() with the same options over the pushed
   /// prefix; throws std::invalid_argument when no pair has formed yet.
   WorkloadAnalysis analysis() const;
 
  private:
-  StreamingLindleyConfig config_;
-  Histogram histogram_;
-  double mu_bits_per_ms_ = 0.0;
-  double probe_bits_ = 0.0;
-  std::size_t samples_ = 0;
-  std::size_t busy_ = 0;
-  double busy_bits_sum_ = 0.0;
+  double delta_ms_ = 0.0;
+  detail::WorkloadCore core_;
   bool have_prev_ = false;
   double prev_rtt_ms_ = 0.0;
 };
@@ -311,13 +341,13 @@ class StreamingAutocorr {
   /// rtt-driven convenience: pushes rtt in milliseconds.
   void push(Duration rtt) { push(rtt.millis()); }
 
-  std::size_t count() const { return count_; }
+  std::size_t count() const { return running_.count(); }
   std::size_t max_lag() const { return max_lag_; }
-  /// Bit-identical to summarize() over the pushed values (same Welford
-  /// recurrence in the same order).
-  double mean() const;
-  double variance() const;
-  Summary summary() const;
+  /// Bit-identical to summarize() over the pushed values (both run one
+  /// RunningSummary in push order).
+  double mean() const { return running_.mean(); }
+  double variance() const { return running_.variance(); }
+  Summary summary() const { return running_.summary(); }
 
   /// Matches autocorrelation(xs, max_lag()) to ~1e-12 relative; throws
   /// std::invalid_argument on an empty or constant stream exactly as the
@@ -326,13 +356,9 @@ class StreamingAutocorr {
 
  private:
   std::size_t max_lag_;
-  std::size_t count_ = 0;
+  RunningSummary running_;    // Welford state on the raw values
   double offset_ = 0.0;       // first sample; all sums are of x - offset_
   double shifted_sum_ = 0.0;  // sum of z_i
-  double mean_ = 0.0;         // Welford state on the raw values
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
   std::vector<double> ring_;   // last max_lag_ + 1 shifted values
   std::vector<double> head_;   // first max_lag_ shifted values
   std::vector<double> cross_;  // cross_[l] = sum_i z_i * z_{i+l}

@@ -11,7 +11,9 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "analysis/lindley.h"
@@ -57,6 +59,66 @@ void expect_loss_stats_equal(const LossStats& got, const LossStats& want) {
   EXPECT_EQ(got.burst_length_counts, want.burst_length_counts);
 }
 
+void expect_gilbert_equal(const GilbertFit& got, const GilbertFit& want) {
+  EXPECT_EQ(got.p, want.p);
+  EXPECT_EQ(got.q, want.q);
+  EXPECT_EQ(got.degenerate, want.degenerate);
+}
+
+// Definition-level oracle.  loss_stats() and fit_gilbert() are folds over
+// StreamingLossState, so checking the state against them alone would
+// compare the state with itself; this recomputes every field from the
+// paper's definitions instead.
+struct LossOracle {
+  LossStats stats;
+  GilbertFit fit;  // meaningful from two samples on
+};
+
+LossOracle loss_oracle(std::span<const std::uint8_t> losses) {
+  const auto lost = [&](std::size_t n) { return losses[n] != 0 ? 1 : 0; };
+  LossOracle oracle;
+  LossStats& s = oracle.stats;
+  s.probes = losses.size();
+  std::size_t pairs[2][2] = {};  // pairs[a][b]: lost_n == a, lost_n+1 == b
+  for (std::size_t n = 0; n < losses.size(); ++n) {
+    s.losses += lost(n);
+    if (n + 1 < losses.size()) ++pairs[lost(n)][lost(n + 1)];
+  }
+  std::size_t runs = 0;
+  for (std::size_t n = 0; n < losses.size(); ++n) {
+    if (!lost(n)) continue;
+    std::size_t length = 0;
+    for (; n < losses.size() && lost(n); ++n) ++length;
+    if (s.burst_length_counts.size() < length) {
+      s.burst_length_counts.resize(length, 0);
+    }
+    ++s.burst_length_counts[length - 1];
+    ++runs;
+  }
+  const auto ratio = [](std::size_t num, std::size_t den) {
+    return static_cast<double>(num) / static_cast<double>(den);
+  };
+  const std::size_t from_ok = pairs[0][0] + pairs[0][1];
+  const std::size_t from_lost = pairs[1][0] + pairs[1][1];
+  s.ulp = ratio(s.losses, s.probes);
+  s.clp = from_lost > 0 ? ratio(pairs[1][1], from_lost) : 0.0;
+  s.plg_from_clp = s.clp < 1.0 ? 1.0 / (1.0 - s.clp)
+                             : std::numeric_limits<double>::infinity();
+  s.mean_burst_length = runs > 0 ? ratio(s.losses, runs) : 0.0;
+  // Gilbert p = P(lost | ok), q = P(ok | lost); a state never left clamps
+  // the unobserved rate so the stationary loss matches the data.
+  if (from_ok == 0) {
+    oracle.fit = {.p = 1.0, .q = 0.0, .degenerate = true};
+  } else if (from_lost == 0) {
+    oracle.fit = {.p = ratio(pairs[0][1], from_ok), .q = 1.0,
+                  .degenerate = true};
+  } else {
+    oracle.fit = {.p = ratio(pairs[0][1], from_ok),
+                  .q = ratio(pairs[1][0], from_lost)};
+  }
+  return oracle;
+}
+
 TEST(StreamingLossStateTest, MatchesBatchExactlyOnMillionSampleStreams) {
   const struct {
     std::uint64_t seed;
@@ -67,13 +129,11 @@ TEST(StreamingLossStateTest, MatchesBatchExactlyOnMillionSampleStreams) {
         random_gilbert_losses(c.seed, c.p, c.q, kStreamLength);
     StreamingLossState streaming;
     for (std::uint8_t v : losses) streaming.push_lost(v != 0);
-    expect_loss_stats_equal(streaming.stats(), loss_stats(losses));
-
-    const GilbertFit batch_fit = fit_gilbert(losses);
-    const GilbertFit fit = streaming.gilbert();
-    EXPECT_EQ(fit.p, batch_fit.p);
-    EXPECT_EQ(fit.q, batch_fit.q);
-    EXPECT_EQ(fit.degenerate, batch_fit.degenerate);
+    const LossOracle oracle = loss_oracle(losses);
+    expect_loss_stats_equal(streaming.stats(), oracle.stats);
+    expect_loss_stats_equal(loss_stats(losses), oracle.stats);
+    expect_gilbert_equal(streaming.gilbert(), oracle.fit);
+    expect_gilbert_equal(fit_gilbert(losses), oracle.fit);
   }
 }
 
@@ -84,7 +144,10 @@ TEST(StreamingLossStateTest, SnapshotMatchesBatchAtEveryPrefix) {
     streaming.push_lost(losses[n] != 0);
     const auto prefix =
         std::span<const std::uint8_t>(losses.data(), n + 1);
-    expect_loss_stats_equal(streaming.stats(), loss_stats(prefix));
+    const LossOracle oracle = loss_oracle(prefix);
+    expect_loss_stats_equal(streaming.stats(), oracle.stats);
+    expect_loss_stats_equal(loss_stats(prefix), oracle.stats);
+    if (n > 0) expect_gilbert_equal(streaming.gilbert(), oracle.fit);
   }
 }
 
@@ -93,12 +156,12 @@ TEST(StreamingLossStateTest, DegenerateChainsMatchBatch) {
     StreamingLossState streaming;
     std::vector<std::uint8_t> losses(10, all_lost ? 1 : 0);
     for (std::uint8_t v : losses) streaming.push_lost(v != 0);
-    const GilbertFit batch_fit = fit_gilbert(losses);
-    const GilbertFit fit = streaming.gilbert();
-    EXPECT_EQ(fit.p, batch_fit.p);
-    EXPECT_EQ(fit.q, batch_fit.q);
-    EXPECT_TRUE(fit.degenerate);
-    expect_loss_stats_equal(streaming.stats(), loss_stats(losses));
+    const LossOracle oracle = loss_oracle(losses);
+    EXPECT_TRUE(oracle.fit.degenerate);
+    expect_gilbert_equal(streaming.gilbert(), oracle.fit);
+    expect_gilbert_equal(fit_gilbert(losses), oracle.fit);
+    expect_loss_stats_equal(streaming.stats(), oracle.stats);
+    expect_loss_stats_equal(loss_stats(losses), oracle.stats);
   }
 }
 

@@ -1,15 +1,40 @@
 #!/usr/bin/env python3
 """Static lint: determinism hazards plus dimensional-unit discipline.
 
-Supersedes tools/lint_determinism.py in CI: this lint imports that
-module's rules and runs them unchanged, then adds the unit-discipline
-rules introduced together with src/util/units.h.  The goal is that the
-strong-typed boundary cannot erode one signature at a time — new code in
-the unit-typed layers must traffic in Bandwidth / ByteSize / BitSize /
-Rate / Probability, not in raw scalars with a suffix naming the unit.
+The repo's core contract is that a simulation is a pure function of its
+seed (ROADMAP "determinism", audit_fuzz_test's same-seed digest check).
+That property is easy to lose one innocent line at a time: a `rand()`
+sneaks into a traffic model, somebody iterates a `std::unordered_map`
+while emitting trace records, a struct gets ordered by pointer value.
+The unit rules guard the strong-typed boundary introduced with
+src/util/units.h, so that it cannot erode one signature at a time — new
+code in the unit-typed layers must traffic in Bandwidth / ByteSize /
+BitSize / Rate / Probability, not in raw scalars with a suffix naming
+the unit.
 
-Unit rules (on top of lint_determinism's)
------------------------------------------
+Determinism rules
+-----------------
+  libc-rand            `rand(` / `srand(` — unseeded global PRNG; use
+                       bolot::util::Rng (per-stream, splittable).
+  wall-clock-seed      `time(nullptr)` / `time(NULL)` / `::time(0)` —
+                       wall-clock seeding destroys replayability.
+  random-device        `std::random_device` — hardware entropy in the
+                       sim means no two runs agree.
+  unordered-iteration  range-for over a `std::unordered_map`/`set` in
+                       sim/ or analysis/ — iteration order is
+                       implementation-defined, so any trace or stats
+                       emitted from such a loop can differ across
+                       libstdc++ versions.  (Lookup is fine; only
+                       iteration order is hazardous, but the cheap,
+                       reviewable rule is to keep the containers out of
+                       those directories entirely.)
+  pointer-ordering     ordered containers or sorts keyed on raw pointer
+                       value — allocation addresses differ run to run.
+  build-timestamp      `__DATE__` / `__TIME__` / `__TIMESTAMP__` —
+                       bakes the build time into outputs.
+
+Unit rules
+----------
   raw-unit-param       a function signature in src/sim or src/scenario
                        declares `double <name>_bps` or an integer
                        `<name>_bytes` parameter.  Pass Bandwidth /
@@ -57,9 +82,10 @@ narrowing-unit-cast and unchecked-probability rules are textual in both
 modes (a cast's value category is visible in the token stream; the AST
 adds nothing for them).
 
-Allowlist: tools/lint_static_allow.txt, same `<path> <rule>` format as
-the determinism allowlist (which this lint also honours for the imported
-determinism rules).  Stale entries fail the lint.
+False positives go in tools/lint_static_allow.txt as `<path> <rule>`
+lines with a trailing comment justifying each one.  The lint fails on
+*new* findings only; allowlisted ones are reported as "allowed" so
+reviewers still see them.  Stale entries fail the lint.
 
 Usage:  python3 tools/lint_static.py [--root DIR] [--self-test]
 Exit 0 when clean, 1 on findings, 2 on usage errors.
@@ -71,8 +97,82 @@ import re
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-import lint_determinism  # noqa: E402  (sibling module, reused wholesale)
+SOURCE_SUFFIXES = {".h", ".hpp", ".cc", ".cpp"}
+
+# (rule, regex, dirs-restriction-or-None, advice)
+DETERMINISM_RULES = [
+    (
+        "libc-rand",
+        re.compile(r"(?<![\w:])s?rand\s*\("),
+        None,
+        "use bolot::util::Rng with a derived stream seed",
+    ),
+    (
+        "wall-clock-seed",
+        re.compile(r"(?<![\w:])time\s*\(\s*(?:nullptr|NULL|0)\s*\)"),
+        None,
+        "seeds must come from the scenario config, never the wall clock",
+    ),
+    (
+        "random-device",
+        re.compile(r"std::random_device"),
+        None,
+        "hardware entropy is not replayable; derive seeds with "
+        "derive_stream_seed()",
+    ),
+    (
+        "unordered-iteration",
+        re.compile(r"std::unordered_(?:map|set|multimap|multiset)\b"),
+        ("src/sim", "src/analysis"),
+        "iteration order is implementation-defined; use std::map, a "
+        "sorted vector, or index by dense id",
+    ),
+    (
+        "pointer-ordering",
+        re.compile(
+            r"std::(?:map|set)\s*<\s*(?:const\s+)?\w+(?:::\w+)*\s*\*\s*[,>]"
+        ),
+        None,
+        "pointer keys order by allocation address; key on a stable id",
+    ),
+    (
+        "build-timestamp",
+        re.compile(r"__(?:DATE|TIME|TIMESTAMP)__"),
+        None,
+        "build timestamps make otherwise identical runs differ",
+    ),
+]
+
+
+def load_allowlist(path: Path) -> set[tuple[str, str]]:
+    allowed: set[tuple[str, str]] = set()
+    if not path.exists():
+        return allowed
+    for raw in path.read_text().splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            print(f"lint_static: malformed allowlist line: {raw!r}",
+                  file=sys.stderr)
+            sys.exit(2)
+        allowed.add((parts[0], parts[1]))
+    return allowed
+
+
+def in_restricted_dirs(rel: str, dirs: tuple[str, ...] | None) -> bool:
+    if dirs is None:
+        return True
+    return any(rel.startswith(d + "/") for d in dirs)
+
+
+def strip_comments(line: str) -> str:
+    """Drop // comments so documentation may name the hazards."""
+    # Good enough for this tree: no multi-line /* */ spans hazard text.
+    cut = line.find("//")
+    return line if cut < 0 else line[:cut]
+
 
 # Directories where the strong-typed units layer is mandatory.
 UNIT_DIRS = ("src/sim", "src/scenario")
@@ -87,7 +187,7 @@ def in_unit_scope(rel: str, dirs: tuple[str, ...] | None) -> bool:
     """UNIT_DIRS membership, extended by the UNIT_FILES enrollment."""
     if dirs is None:
         return True
-    return lint_determinism.in_restricted_dirs(rel, dirs) or rel in UNIT_FILES
+    return in_restricted_dirs(rel, dirs) or rel in UNIT_FILES
 
 INT_TYPES = r"(?:(?:std::)?u?int(?:8|16|32|64)?_t|int|long|(?:std::)?size_t|unsigned)"
 
@@ -151,9 +251,9 @@ def scan_lines(rel: str, lines: list[str],
     findings: list[tuple[str, int, str, str]] = []
     is_header = rel.endswith((".h", ".hpp"))
     for lineno, line in enumerate(lines, start=1):
-        code = lint_determinism.strip_comments(line)
-        for rule, pattern, dirs, advice in lint_determinism.RULES:
-            if not lint_determinism.in_restricted_dirs(rel, dirs):
+        code = strip_comments(line)
+        for rule, pattern, dirs, advice in DETERMINISM_RULES:
+            if not in_restricted_dirs(rel, dirs):
                 continue
             if pattern.search(code):
                 findings.append((rule, lineno, line.strip(), advice))
@@ -217,8 +317,8 @@ def ast_scan(cindex, index, root: Path, path: Path,
 
 
 # ---------------------------------------------------------------------------
-# Self-test: the acceptance check that a synthetic raw-unit signature is
-# rejected and idiomatic typed code is not.
+# Self-test: every rule has a synthetic snippet it must reject and an
+# idiomatic one it must accept.
 # ---------------------------------------------------------------------------
 
 SELF_TEST_CASES = [
@@ -267,10 +367,54 @@ SELF_TEST_CASES = [
      "src/sim/synthetic.cpp",
      "channel.drop = Probability::checked(0.5);",
      set()),
-    ("determinism rules still run (rand ban inherited)",
+    ("libc rand is rejected",
      "src/sim/synthetic.cpp",
      "int jitter = rand() % 7;",
      {"libc-rand"}),
+    ("identifier starting with rand is fine",
+     "src/sim/synthetic.cpp",
+     "int jitter = rng.rand_below(7);",
+     set()),
+    ("wall-clock seed is rejected",
+     "src/scenario/synthetic.cpp",
+     "Rng rng(static_cast<std::uint64_t>(time(nullptr)));",
+     {"wall-clock-seed"}),
+    ("time with a real argument is fine",
+     "src/scenario/synthetic.cpp",
+     "const Duration t = clock.time(event);",
+     set()),
+    ("std::random_device is rejected",
+     "src/model/synthetic.cpp",
+     "std::random_device entropy;",
+     {"random-device"}),
+    ("derived stream seed is fine",
+     "src/model/synthetic.cpp",
+     "Rng rng(derive_stream_seed(seed, stream));",
+     set()),
+    ("unordered container in analysis is rejected",
+     "src/analysis/synthetic.cpp",
+     "std::unordered_map<std::int64_t, std::size_t> counts;",
+     {"unordered-iteration"}),
+    ("unordered container outside sim/analysis is out of scope",
+     "src/netdyn/synthetic.cpp",
+     "std::unordered_map<std::uint64_t, Pending> pending;",
+     set()),
+    ("pointer-keyed map is rejected",
+     "src/sim/synthetic.h",
+     "std::map<const Link*, std::size_t> queue_of;",
+     {"pointer-ordering"}),
+    ("id-keyed map is fine",
+     "src/sim/synthetic.h",
+     "std::map<LinkId, std::size_t> queue_of;",
+     set()),
+    ("build timestamp is rejected",
+     "src/obs/synthetic.cpp",
+     "out << \"built \" << __DATE__;",
+     {"build-timestamp"}),
+    ("hazard named in a comment is fine",
+     "src/obs/synthetic.cpp",
+     "out << version;  // never print __DATE__ here",
+     set()),
 ]
 
 
@@ -311,10 +455,7 @@ def main() -> int:
         print(f"lint_static: no src/ under {root}", file=sys.stderr)
         return 2
 
-    allowed = lint_determinism.load_allowlist(
-        root / "tools" / "lint_static_allow.txt")
-    allowed |= lint_determinism.load_allowlist(
-        root / "tools" / "lint_determinism_allow.txt")
+    allowed = load_allowlist(root / "tools" / "lint_static_allow.txt")
     used_allow: set[tuple[str, str]] = set()
     findings: list[str] = []
     allowed_hits: list[str] = []
@@ -327,7 +468,7 @@ def main() -> int:
     textual_skip = {"raw-unit-param", "raw-unit-member"} if index else set()
 
     for path in sorted(src.rglob("*")):
-        if (path.suffix not in lint_determinism.SOURCE_SUFFIXES
+        if (path.suffix not in SOURCE_SUFFIXES
                 or not path.is_file()):
             continue
         rel = path.relative_to(root).as_posix()
